@@ -10,7 +10,6 @@ formulas, and audits that certify privacy and recoverability.
 
 from .audit import (
     AuditReport,
-    DistributionTable,
     audit_individual_privacy,
     audit_joint_privacy,
     audit_recoverability,
@@ -58,7 +57,6 @@ from .protocol_core import (
     Demand,
     RateReport,
     Rational,
-    SetupParams,
     iplc_capacity,
     jplc_capacity,
     jplt_bounds,
@@ -88,7 +86,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport",
-    "DistributionTable",
     "Dataset",
     "Demand",
     "FieldElement",
@@ -107,7 +104,6 @@ __all__ = [
     "RateReport",
     "Rational",
     "ReductionResult",
-    "SetupParams",
     "SideInfoInstance",
     "VectorGF",
     "algorithm_probabilities",

@@ -1,8 +1,13 @@
 """Audits for recoverability, privacy, and reduction marginals.
 
-Two audit styles coexist. Exhaustive audits enumerate every transcript a
-parameter set can produce, weight each by its exact probability, and compare
-conditional view distributions as exact rationals; they either certify a
+Each privacy guarantee is a statement about one conditional law of a
+server's view: under joint privacy every demanded support is equally likely
+given the view, under individual privacy every stream index is demanded with
+probability D / K, and a reduction's hidden target stays uniform. One engine
+checks them all. A path source yields (weight, label, artifact) paths,
+`collect` adds up mass per (view, label), and a statistic compares the
+labels' conditional view laws. Exhaustive audits enumerate every run with
+its exact probability and compare exact rationals; they either certify a
 guarantee outright or exhibit a counterexample. Sampled audits estimate the
 same posteriors from finitely many runs; raw per-view frequencies are noisy,
 so the reported statistic accumulates only deviations that clear a
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -41,28 +46,6 @@ from .plc_engine import (
 )
 from .protocol_core import Demand, random_demand, random_dataset
 from .protocols import minimum_stream_length, run_iplc, run_jplc
-
-
-@dataclass
-class DistributionTable:
-    """Exact probability masses over hashable view keys."""
-
-    masses: Dict[object, Fraction] = dataclass_field(default_factory=dict)
-
-    def add(self, key, weight: Fraction) -> None:
-        self.masses[key] = self.masses.get(key, Fraction(0)) + weight
-
-    def total(self) -> Fraction:
-        return sum(self.masses.values(), Fraction(0))
-
-    def tv_distance(self, other: "DistributionTable") -> Fraction:
-        keys = set(self.masses) | set(other.masses)
-        gap = Fraction(0)
-        for k in keys:
-            gap += abs(
-                self.masses.get(k, Fraction(0)) - other.masses.get(k, Fraction(0))
-            )
-        return gap / 2
 
 
 @dataclass(frozen=True)
@@ -204,7 +187,146 @@ def _paths_for(
 
 
 # ---------------------------------------------------------------------------
-# Debiased statistics for sampled audits.
+# The audit engine: path sources, collection, statistics.
+
+def _encoder(protocol, num_servers, demand, num_streams, field, rng):
+    if protocol == "jplc":
+        return build_grs_matrix(num_servers, demand, num_streams, field, rng)
+    if protocol == "iplc":
+        return build_partition_matrix(demand, num_streams, field, rng)
+    raise ValueError(f"unknown protocol {protocol!r}")
+
+
+def _paths(
+    mode, protocol, labelled, num_servers, num_streams, field, rng, samples, draw=None
+):
+    """(weight, label, encoder) paths over (label, support) pairs.
+
+    The demand prior is uniform over `labelled`. Exhaustive mode enumerates
+    every encoder run of every pair, weighted by its probability given the
+    support. Sampled mode runs the encoder `samples` times, each on a pair
+    from draw(rng) (a uniform pick by default) with fresh coefficients.
+    """
+    if mode == "exhaustive":
+        for label, support in labelled:
+            for w, _, enc in _paths_for(
+                protocol, support, num_servers, num_streams, field
+            ):
+                yield w, label, enc
+        return
+    if mode != "sampled":
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    if rng is None:
+        raise ValueError("sampled mode needs an rng")
+    for _ in range(samples):
+        if draw is None:
+            label, support = labelled[rng.randrange(len(labelled))]
+        else:
+            label, support = draw(rng)
+        coefficients = [field.rand_nonzero_int(rng) for _ in support]
+        demand = Demand(support, VectorGF(coefficients, field))
+        yield 1, label, _encoder(
+            protocol, num_servers, demand, num_streams, field, rng
+        )
+
+
+def _with_queries(paths, mode, num_servers, stream_length, rng):
+    """Extend encoder paths by the engine's query randomness: every (position
+    map, signs) pair with its exact weight when exhaustive, one draw when
+    sampled. Yields (weight, label, (encoder, descriptor))."""
+    for w, label, enc in paths:
+        stack = MatrixGF([cv.entries for cv in enc.combination_vectors], enc.field)
+        instance = PlcInstance(num_servers, stack, enc.demand_index, stream_length)
+        if mode == "exhaustive":
+            w = w * Fraction(1, math.factorial(stream_length) * 2**stream_length)
+            draws = (
+                PlcRandomness(tau, signs)
+                for tau in permutations(range(1, stream_length + 1))
+                for signs in product((1, -1), repeat=stream_length)
+            )
+        else:
+            draws = (random_plc_randomness(stream_length, rng),)
+        for randomness in draws:
+            yield w, label, (enc, generate_queries(instance, randomness))
+
+
+def _published_view(enc) -> tuple:
+    return ((0, encoder_view(enc)),)
+
+
+def _served_views(path) -> tuple:
+    enc, descriptor = path
+    return tuple(
+        (server, server_full_view(enc, descriptor, server))
+        for server in range(1, descriptor.num_servers + 1)
+    )
+
+
+def collect(paths, views, max_paths: Optional[int] = None):
+    """Mass per view and label over (weight, label, artifact) paths.
+
+    views(artifact) lists the (server, view) pairs a path shows, server 0
+    being the published encoder view; each gets the path's weight. Returns
+    ({view: {label: mass}}, number of paths), views in first-seen order.
+    More than max_paths paths raise ValueError.
+    """
+    mass: Dict[tuple, Dict[object, object]] = {}
+    count = 0
+    for weight, label, artifact in paths:
+        for view in views(artifact):
+            per_label = mass.setdefault(view, {})
+            per_label[label] = per_label.get(label, 0) + weight
+        count += 1
+        if max_paths is not None and count > max_paths:
+            raise ValueError(
+                "path budget exceeded; shrink parameters or use sampled mode"
+            )
+    return mass, count
+
+
+def _member_counts(mass, members):
+    """view -> (view mass, mass per member), where a label's mass counts for
+    every member that members(label) names."""
+    out = {}
+    for view, per_label in mass.items():
+        hits: Dict[object, object] = {}
+        for label, m in per_label.items():
+            for member in members(label):
+                hits[member] = hits.get(member, 0) + m
+        out[view] = (sum(per_label.values()), hits)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Statistics over view_counts: view -> (n_v, mass per label), exact
+# rationals for exhaustive audits and counts for sampled ones.
+
+def exact_pairwise_tv_statistic(view_counts, labels):
+    """Worst total variation between two labels' view laws at one server.
+
+    Keys are (server, view) pairs and masses are conditional on the label.
+    Returns the distance and the first (label_a, label_b, server) at it, or
+    None in place of that triple when the distance is zero."""
+    rows: Dict[int, list] = {}
+    for (server, _), (_, hits) in view_counts.items():
+        rows.setdefault(server, []).append(hits)
+    worst, worst_pair = Fraction(0), None
+    for a, b in combinations(labels, 2):
+        for server, hs in rows.items():
+            tv = sum((abs(h.get(a, 0) - h.get(b, 0)) for h in hs), Fraction(0)) / 2
+            if tv > worst:
+                worst, worst_pair = tv, (a, b, server)
+    return worst, worst_pair
+
+
+def exact_marginal_statistic(view_counts, labels, target: Fraction) -> Fraction:
+    """Worst |P(label | view) - target| over views and labels."""
+    worst = Fraction(0)
+    for total, hits in view_counts.values():
+        for label in labels:
+            worst = max(worst, abs(hits.get(label, 0) / total - target))
+    return worst
+
 
 def _sigma_floor(target: float, n_v: int) -> float:
     return math.sqrt(max(target * (1 - target), 1e-12) / n_v)
@@ -267,17 +389,47 @@ def debiased_pairwise_tv_statistic(
     return worst
 
 
-def _record(view_counts, view, label) -> None:
-    entry = view_counts.get(view)
-    if entry is None:
-        entry = [0, {}]
-        view_counts[view] = entry
-    entry[0] += 1
-    entry[1][label] = entry[1].get(label, 0) + 1
 
-
-def _freeze_counts(view_counts):
-    return {v: (nv, dict(hits)) for v, (nv, hits) in view_counts.items()}
+def _judge(
+    kind, layer, mode, threshold, paths, views, labels, members, target, details,
+    max_paths=None,
+) -> AuditReport:
+    """Collect the paths and test the labels' conditional view laws: with
+    target None they must coincide pairwise, otherwise every label must keep
+    posterior `target` in every view, a path counting for each label that
+    members(path label) names."""
+    mass, weight = collect(paths, views, max_paths)
+    counts = _member_counts(mass, members)
+    if mode == "exhaustive":
+        if threshold is None:
+            threshold = 0.0
+        if target is None:
+            worst, worst_pair = exact_pairwise_tv_statistic(counts, labels)
+            details["worst_pair"] = repr(worst_pair)
+        else:
+            worst = exact_marginal_statistic(counts, labels, target)
+        details["exact_statistic"] = str(worst)
+        passed = worst <= Fraction(threshold).limit_denominator(10**9)
+        statistic = float(worst)
+    else:
+        if threshold is None:
+            threshold = 0.02
+        if target is None:
+            statistic = debiased_pairwise_tv_statistic(counts, labels)
+        else:
+            statistic = debiased_marginal_statistic(counts, labels, float(target))
+        passed = statistic <= threshold
+    return AuditReport(
+        kind=kind,
+        layer=layer,
+        mode=mode,
+        passed=passed,
+        statistic=statistic,
+        threshold=threshold,
+        weight=weight,
+        num_views=len({view for _, view in mass}),
+        details=details,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,139 +509,22 @@ def audit_joint_privacy(
     supports = list(combinations(range(1, num_streams + 1), demand_size))
     if layer not in ("encoder", "full"):
         raise ValueError("layer must be 'encoder' or 'full'")
-    if mode == "exhaustive":
-        if threshold is None:
-            threshold = 0.0
+    paths = _paths(
+        mode, "jplc", [(s, s) for s in supports], num_servers, num_streams,
+        field, rng, samples,
+    )
+    views = _published_view
+    if layer == "full":
         stream_length = repetitions * minimum_stream_length(
             "jplc", num_servers, num_streams, demand_size
         )
-        tables: Dict[tuple, Dict[tuple, DistributionTable]] = {}
-        paths = 0
-        for support in supports:
-            per_server: Dict[tuple, DistributionTable] = {}
-            for w, demand, enc in enumerate_jplc_paths(
-                support, num_servers, num_streams, field
-            ):
-                if layer == "encoder":
-                    per_server.setdefault(0, DistributionTable()).add(
-                        encoder_view(enc), w
-                    )
-                    paths += 1
-                else:
-                    stack = MatrixGF(
-                        [cv.entries for cv in enc.combination_vectors], field
-                    )
-                    instance = PlcInstance(
-                        num_servers, stack, enc.demand_index, stream_length
-                    )
-                    t_perm_weight = Fraction(
-                        1, math.factorial(stream_length) * 2**stream_length
-                    )
-                    for tau in permutations(range(1, stream_length + 1)):
-                        for signs in product((1, -1), repeat=stream_length):
-                            descriptor = generate_queries(
-                                instance, PlcRandomness(tau, signs)
-                            )
-                            for server in range(1, num_servers + 1):
-                                per_server.setdefault(
-                                    server, DistributionTable()
-                                ).add(
-                                    server_full_view(enc, descriptor, server),
-                                    w * t_perm_weight,
-                                )
-                            paths += 1
-                            if paths > max_paths:
-                                raise ValueError(
-                                    "path budget exceeded; shrink parameters "
-                                    "or use sampled mode"
-                                )
-                if paths > max_paths:
-                    raise ValueError(
-                        "path budget exceeded; shrink parameters or use "
-                        "sampled mode"
-                    )
-            tables[support] = per_server
-        worst = Fraction(0)
-        worst_pair = None
-        for sa, sb in combinations(supports, 2):
-            for server in tables[sa]:
-                tv = tables[sa][server].tv_distance(tables[sb][server])
-                if tv > worst:
-                    worst = tv
-                    worst_pair = (sa, sb, server)
-        views = len(
-            {v for per in tables.values() for t in per.values() for v in t.masses}
-        )
-        for support in supports:
-            for table in tables[support].values():
-                assert table.total() == 1
-        return AuditReport(
-            kind="joint-privacy",
-            layer=layer,
-            mode=mode,
-            passed=worst <= Fraction(threshold).limit_denominator(10**9),
-            statistic=float(worst),
-            threshold=threshold,
-            weight=paths,
-            num_views=views,
-            details={
-                "exact_statistic": str(worst),
-                "worst_pair": repr(worst_pair),
-                "supports": len(supports),
-            },
-        )
-    if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        if threshold is None:
-            threshold = 0.02
-        stream_length = repetitions * minimum_stream_length(
-            "jplc", num_servers, num_streams, demand_size
-        )
-        view_counts: Dict[object, list] = {}
-        for _ in range(samples):
-            support = supports[rng.randrange(len(supports))]
-            demand = Demand(
-                support,
-                VectorGF(
-                    [field.rand_nonzero_int(rng) for _ in support], field
-                ),
-            )
-            enc = build_grs_matrix(
-                num_servers, demand, num_streams, field, rng
-            )
-            if layer == "encoder":
-                _record(view_counts, encoder_view(enc), support)
-            else:
-                stack = MatrixGF(
-                    [cv.entries for cv in enc.combination_vectors], field
-                )
-                instance = PlcInstance(
-                    num_servers, stack, enc.demand_index, stream_length
-                )
-                randomness = random_plc_randomness(stream_length, rng)
-                descriptor = generate_queries(instance, randomness)
-                for server in range(1, num_servers + 1):
-                    _record(
-                        view_counts,
-                        (server, server_full_view(enc, descriptor, server)),
-                        support,
-                    )
-        stat = debiased_pairwise_tv_statistic(
-            _freeze_counts(view_counts), supports
-        )
-        return AuditReport(
-            kind="joint-privacy",
-            layer=layer,
-            mode=mode,
-            passed=stat <= threshold,
-            statistic=stat,
-            threshold=threshold,
-            weight=samples,
-            num_views=len(view_counts),
-            details={"supports": len(supports)},
-        )
-    raise ValueError("mode must be 'exhaustive' or 'sampled'")
+        paths = _with_queries(paths, mode, num_servers, stream_length, rng)
+        views = _served_views
+    return _judge(
+        "joint-privacy", layer, mode, threshold, paths, views, supports,
+        lambda s: (s,), None, {"supports": len(supports)},
+        max_paths if mode == "exhaustive" else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,88 +544,16 @@ def audit_individual_privacy(
     """Does every stream index keep membership probability D / K given the
     encoder view, under the uniform demand prior?"""
     k, d = num_streams, demand_size
-    supports = list(combinations(range(1, k + 1), d))
+    labelled = [(s, s) for s in combinations(range(1, k + 1), d)]
     target = Fraction(d, k)
-    if mode == "exhaustive":
-        if threshold is None:
-            threshold = 0.0
-        mass: Dict[tuple, Dict[tuple, Fraction]] = {}
-        support_weight = Fraction(1, len(supports))
-        paths = 0
-        for support in supports:
-            for w, demand, enc in _paths_for(
-                protocol, support, num_servers, k, field
-            ):
-                view = encoder_view(enc)
-                slot = mass.setdefault(view, {})
-                slot[support] = slot.get(support, Fraction(0)) + w * support_weight
-                paths += 1
-        worst = Fraction(0)
-        for view, per_support in mass.items():
-            total = sum(per_support.values(), Fraction(0))
-            for i in range(1, k + 1):
-                p_i = (
-                    sum(
-                        (m for s, m in per_support.items() if i in s),
-                        Fraction(0),
-                    )
-                    / total
-                )
-                worst = max(worst, abs(p_i - target))
-        return AuditReport(
-            kind="individual-privacy",
-            layer="encoder",
-            mode=mode,
-            passed=worst <= Fraction(threshold).limit_denominator(10**9),
-            statistic=float(worst),
-            threshold=threshold,
-            weight=paths,
-            num_views=len(mass),
-            details={
-                "exact_statistic": str(worst),
-                "protocol": protocol,
-                "target": str(target),
-            },
-        )
-    if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        if threshold is None:
-            threshold = 0.02
-        view_counts: Dict[object, list] = {}
-        for _ in range(samples):
-            support = supports[rng.randrange(len(supports))]
-            demand = Demand(
-                support,
-                VectorGF([field.rand_nonzero_int(rng) for _ in support], field),
-            )
-            if protocol == "iplc":
-                enc = build_partition_matrix(demand, k, field, rng)
-            else:
-                enc = build_grs_matrix(num_servers, demand, k, field, rng)
-            view = encoder_view(enc)
-            entry = view_counts.get(view)
-            if entry is None:
-                entry = [0, {}]
-                view_counts[view] = entry
-            entry[0] += 1
-            for i in support:
-                entry[1][i] = entry[1].get(i, 0) + 1
-        stat = debiased_marginal_statistic(
-            _freeze_counts(view_counts), list(range(1, k + 1)), float(target)
-        )
-        return AuditReport(
-            kind="individual-privacy",
-            layer="encoder",
-            mode=mode,
-            passed=stat <= threshold,
-            statistic=stat,
-            threshold=threshold,
-            weight=samples,
-            num_views=len(view_counts),
-            details={"protocol": protocol, "target": str(target)},
-        )
-    raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    paths = _paths(
+        mode, protocol, labelled, num_servers, k, field, rng, samples
+    )
+    return _judge(
+        "individual-privacy", "encoder", mode, threshold, paths,
+        _published_view, range(1, k + 1), lambda s: s, target,
+        {"protocol": protocol, "target": str(target)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -613,82 +576,29 @@ def audit_reduction_marginal(
         raise ValueError("reduction must be 'pir-psi' or 'pir-si'")
     protocol = "jplc" if reduction == "pir-psi" else "iplc"
     k = num_streams
-    d = num_side + 1
     target = Fraction(1, k)
-    pair_weight = Fraction(1, math.comb(k, num_side) * (k - num_side))
-    if mode == "exhaustive":
-        if threshold is None:
-            threshold = 0.0
-        mass: Dict[tuple, Dict[int, Fraction]] = {}
-        paths = 0
-        for side in combinations(range(1, k + 1), num_side):
-            for i_star in range(1, k + 1):
-                if i_star in side:
-                    continue
-                support = tuple(sorted(side + (i_star,)))
-                for w, demand, enc in _paths_for(
-                    protocol, support, num_servers, k, field
-                ):
-                    view = encoder_view(enc)
-                    slot = mass.setdefault(view, {})
-                    slot[i_star] = slot.get(i_star, Fraction(0)) + w * pair_weight
-                    paths += 1
-        worst = Fraction(0)
-        for per_target in mass.values():
-            total = sum(per_target.values(), Fraction(0))
-            for i in range(1, k + 1):
-                p_i = per_target.get(i, Fraction(0)) / total
-                worst = max(worst, abs(p_i - target))
-        return AuditReport(
-            kind="reduction-marginal",
-            layer="encoder",
-            mode=mode,
-            passed=worst <= Fraction(threshold).limit_denominator(10**9),
-            statistic=float(worst),
-            threshold=threshold,
-            weight=paths,
-            num_views=len(mass),
-            details={
-                "exact_statistic": str(worst),
-                "reduction": reduction,
-                "target": str(target),
-            },
-        )
-    if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        if threshold is None:
-            threshold = 0.02
-        view_counts: Dict[object, list] = {}
-        for _ in range(samples):
-            side = tuple(sorted(rng.sample(range(1, k + 1), num_side)))
-            rest = [i for i in range(1, k + 1) if i not in side]
-            i_star = rest[rng.randrange(len(rest))]
-            support = tuple(sorted(side + (i_star,)))
-            demand = Demand(
-                support,
-                VectorGF([field.rand_nonzero_int(rng) for _ in support], field),
-            )
-            if protocol == "iplc":
-                enc = build_partition_matrix(demand, k, field, rng)
-            else:
-                enc = build_grs_matrix(num_servers, demand, k, field, rng)
-            _record(view_counts, encoder_view(enc), i_star)
-        stat = debiased_marginal_statistic(
-            _freeze_counts(view_counts), list(range(1, k + 1)), float(target)
-        )
-        return AuditReport(
-            kind="reduction-marginal",
-            layer="encoder",
-            mode=mode,
-            passed=stat <= threshold,
-            statistic=stat,
-            threshold=threshold,
-            weight=samples,
-            num_views=len(view_counts),
-            details={"reduction": reduction, "target": str(target)},
-        )
-    raise ValueError("mode must be 'exhaustive' or 'sampled'")
+    # Uniform over (side set, target) pairs; the label is the target.
+    labelled = [
+        (i_star, tuple(sorted(side + (i_star,))))
+        for side in combinations(range(1, k + 1), num_side)
+        for i_star in range(1, k + 1)
+        if i_star not in side
+    ]
+
+    def draw(r: random.Random):
+        side = tuple(sorted(r.sample(range(1, k + 1), num_side)))
+        rest = [i for i in range(1, k + 1) if i not in side]
+        i_star = rest[r.randrange(len(rest))]
+        return i_star, tuple(sorted(side + (i_star,)))
+
+    paths = _paths(
+        mode, protocol, labelled, num_servers, k, field, rng, samples, draw
+    )
+    return _judge(
+        "reduction-marginal", "encoder", mode, threshold, paths,
+        _published_view, range(1, k + 1), lambda i: (i,), target,
+        {"reduction": reduction, "target": str(target)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -780,30 +690,28 @@ def _match_server_patterns(blocks_a, blocks_b):
         for ai, a_sum in enumerate(la):
             flat.append((gi, ai, a_sum))
 
+    def undo(added, mark):
+        for pa in added:
+            del rev[rho[pa]]
+            del rho[pa]
+        dsu.rollback(mark)
+
     def try_pair(a_sum, b_sum, gid):
         added = []
         mark = dsu.mark()
         for (ka, pa, ca), (kb, pb, cb) in zip(a_sum, b_sum):
             assert ka == kb
             if rho.get(pa, pb) != pb or rev.get(pb, pa) != pa:
-                ok = False
-                break
+                undo(added, mark)
+                return None
             if pa not in rho:
                 rho[pa] = pb
                 rev[pb] = pa
                 added.append(pa)
             diff = 0 if ca == cb else 1
             if not dsu.union(("v", pa), ("g", gid), diff):
-                ok = False
-                break
-        else:
-            ok = True
-        if not ok:
-            for pa in added:
-                del rev[rho[pa]]
-                del rho[pa]
-            dsu.rollback(mark)
-            return None
+                undo(added, mark)
+                return None
         return added, mark
 
     used: List[set] = [set() for _ in groups]
@@ -819,15 +727,11 @@ def _match_server_patterns(blocks_a, blocks_b):
             attempt = try_pair(a_sum, b_sum, (gi, ai))
             if attempt is None:
                 continue
-            added, mark = attempt
             used[gi].add(bi)
             if backtrack(idx + 1):
                 return True
             used[gi].remove(bi)
-            for pa in added:
-                del rev[rho[pa]]
-                del rho[pa]
-            dsu.rollback(mark)
+            undo(*attempt)
         return False
 
     if not backtrack(0):

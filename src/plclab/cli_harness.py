@@ -127,6 +127,8 @@ def read_transcript(path: str) -> dict:
         blob = handle.read()
     if blob[:4] != TRANSCRIPT_MAGIC:
         raise ValueError("not a transcript file (bad magic)")
+    if len(blob) < 6:
+        raise ValueError("truncated transcript")
     if blob[4] != TRANSCRIPT_VERSION:
         raise ValueError(f"unsupported transcript version {blob[4]}")
     count = blob[5]
@@ -192,6 +194,14 @@ def _require_prime(q: int) -> PrimeField:
     return PrimeField(q)
 
 
+def _demand_size(args) -> int:
+    if args.support:
+        return len(_parse_int_list(args.support, "--support"))
+    if args.demand_size is None:
+        raise ValueError("either --support or --demand-size is required")
+    return args.demand_size
+
+
 def _make_demand(args, field: PrimeField, k: int, rng: random.Random) -> Demand:
     if args.support:
         indices = _parse_int_list(args.support, "--support")
@@ -202,10 +212,7 @@ def _make_demand(args, field: PrimeField, k: int, rng: random.Random) -> Demand:
         else:
             coeff_vals = [field.rand_nonzero_int(rng) for _ in indices]
         return Demand(tuple(indices), VectorGF(coeff_vals, field))
-    d = args.demand_size
-    if d is None:
-        raise ValueError("either --support or --demand-size is required")
-    indices = sorted(rng.sample(range(1, k + 1), d))
+    indices = sorted(rng.sample(range(1, k + 1), args.demand_size))
     coeff_vals = [field.rand_nonzero_int(rng) for _ in indices]
     return Demand(tuple(indices), VectorGF(coeff_vals, field))
 
@@ -215,9 +222,8 @@ def _run_mode(args, mode: str) -> Tuple[int, dict]:
     rng = random.Random(args.seed)
     runner = run_jplc if mode == "jplc" else run_iplc
     protocol = mode
-    demand_probe = _make_demand(args, field, args.messages, random.Random(args.seed))
     t_len = args.t_mult * minimum_stream_length(
-        protocol, args.servers, args.messages, demand_probe.size
+        protocol, args.servers, args.messages, _demand_size(args)
     )
     dataset = random_dataset(field, args.messages, t_len, rng)
     demand = _make_demand(args, field, args.messages, rng)

@@ -232,34 +232,3 @@ class FieldElement:
     def __repr__(self):
         return f"F{self.field.q}({self.value})"
 
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def uniform(field: PrimeField, rng: random.Random) -> FieldElement:
-    """Draw one element uniformly from all of GF(q)."""
-    return FieldElement(rng.randrange(field.q), field)
-
-
-def uniform_nonzero(field: PrimeField, rng: random.Random) -> FieldElement:
-    """Draw one element uniformly from the nonzero part of GF(q)."""
-    if field.q < 2:
-        raise ValueError("field has no nonzero elements")
-    return FieldElement(rng.randrange(1, field.q), field)

@@ -20,15 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .ffield import PrimeField
-from .gflinalg import (
-    MatrixGF,
-    VectorGF,
-    rank,
-    row_space_vector_with_support,
-)
+from .gflinalg import MatrixGF, VectorGF, rank
+from .jplc_encoder import derive_combination_vectors
 from .protocol_core import Demand
 
 
@@ -170,22 +166,6 @@ def planted_slot_map(
     raise ValueError("algorithm must be 1 or 2 when K mod D is nonzero")
 
 
-def derive_combination_vectors_iplc(
-    g: MatrixGF, supports: Sequence[Tuple[int, ...]]
-) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
-    """Leading-one row-space vector and coefficients for each support."""
-    u_list = []
-    c_list = []
-    for s in supports:
-        found = row_space_vector_with_support(g, s, 1)
-        if found is None:
-            raise ValueError(f"row space has no vector with support {tuple(s)}")
-        u, c = found
-        u_list.append(u)
-        c_list.append(c)
-    return tuple(u_list), tuple(c_list)
-
-
 def _draw_free_alphas(field, rng, free_positions, overrides):
     alphas = {}
     for key in free_positions:
@@ -277,7 +257,7 @@ def build_partition_matrix_r0(
     supports = tuple(
         tuple(sorted(pi[c - 1] for c in s)) for s in template
     )
-    u_list, c_list = derive_combination_vectors_iplc(g, supports)
+    u_list, c_list = derive_combination_vectors(g, supports)
     out = IplcEncoderOutput(
         generator=g,
         supports=supports,
@@ -388,7 +368,7 @@ def build_partition_matrix_rdivd(
 
     template = _template_supports_rdivd(k, d, r, n, m)
     supports = tuple(tuple(sorted(pi[c - 1] for c in s)) for s in template)
-    u_list, c_list = derive_combination_vectors_iplc(g, supports)
+    u_list, c_list = derive_combination_vectors(g, supports)
     out = IplcEncoderOutput(
         generator=g,
         supports=supports,

@@ -20,15 +20,8 @@ from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 from .ffield import PrimeField
-from .gflinalg import (
-    MatrixGF,
-    VectorGF,
-    mat_mul,
-    rank,
-    row_space_vector_with_support,
-    vec_mat,
-)
-from .protocol_core import Dataset, Demand
+from .gflinalg import MatrixGF, VectorGF, rank, row_space_vector_with_support
+from .protocol_core import Demand
 
 
 @dataclass(frozen=True)
@@ -78,15 +71,6 @@ def derive_combination_vectors(
         u_list.append(u)
         c_list.append(c)
     return tuple(u_list), tuple(c_list)
-
-
-def form_coded_streams(
-    g: MatrixGF, combination_vectors: Sequence[VectorGF], dataset: Dataset
-) -> Tuple[MatrixGF, Tuple[VectorGF, ...]]:
-    """Coded streams Y = G . X and the demand-family streams Z_k = C_k . Y."""
-    y = mat_mul(g, dataset.x)
-    z = tuple(vec_mat(c, y) for c in combination_vectors)
-    return y, z
 
 
 def build_grs_matrix(

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, rank
@@ -180,6 +180,16 @@ def _other_servers(server: int, num_servers: int) -> List[int]:
     return [n for n in range(1, num_servers + 1) if n != server]
 
 
+def _sign_pattern(s: tuple, theta: int) -> Dict[int, int]:
+    """Sign of each stream's term in the sum over subset s: alternating over
+    the interference part, (-1)^(ell-1) on the target."""
+    rest = [x for x in s if x != theta]
+    eps_of = {x: (-1) ** i for i, x in enumerate(rest)}
+    if theta in s:
+        eps_of[theta] = (-1) ** (len(s) - 1)
+    return eps_of
+
+
 def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int) -> _Skeleton:
     key = (num_servers, num_streams, reps, theta)
     hit = _SKELETON_CACHE.get(key)
@@ -215,12 +225,7 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int) -
             for server in range(1, n + 1):
                 others = _other_servers(server, n)
                 for s in combinations(streams, ell):
-                    if theta in s:
-                        rest = tuple(x for x in s if x != theta)
-                        eps_of = {x: (-1) ** i for i, x in enumerate(rest)}
-                        eps_of[theta] = (-1) ** (ell - 1)
-                    else:
-                        eps_of = {x: (-1) ** i for i, x in enumerate(s)}
+                    eps_of = _sign_pattern(s, theta)
                     for coord in range(slot_count):
                         terms = tuple(
                             (
@@ -265,12 +270,7 @@ def _trim_tables(instance: PlcInstance):
         kept_ell: List[tuple] = []
         drops_ell: Dict[tuple, Tuple[tuple, ...]] = {}
         for s in combinations(streams, ell):
-            if theta in s:
-                rest = tuple(x for x in s if x != theta)
-                eps_of = {x: (-1) ** i for i, x in enumerate(rest)}
-                eps_of[theta] = (-1) ** (ell - 1)
-            else:
-                eps_of = {x: (-1) ** i for i, x in enumerate(s)}
+            eps_of = _sign_pattern(s, theta)
             row: Dict[tuple, int] = {}
             for x in s:
                 u = tuple(y for y in s if y != x)
@@ -339,13 +339,14 @@ def _bake(template: _SumTemplate, randomness: PlcRandomness, q: int):
 def _annotated_blocks(instance: PlcInstance, randomness: PlcRandomness):
     """Kept sums, serialised and canonically ordered, with their templates.
 
-    Returns blocks[server-1][ell-1] = list of (wire_sum, template, lead).
+    Returns the skeleton, blocks[server-1][ell-1] = list of (wire_sum,
+    template, lead), and the trim's drop table.
     """
     n = instance.num_servers
     m = instance.num_streams
     q = instance.field.q
     skel = _build_skeleton(n, m, instance.repetitions, instance.demand_index)
-    kept, _ = _trim_tables(instance)
+    kept, drops = _trim_tables(instance)
     kept_sets = {ell: set(v) for ell, v in kept.items()}
     blocks = [[[] for _ in range(m)] for _ in range(n)]
     for tmpl in skel.sums:
@@ -356,23 +357,17 @@ def _annotated_blocks(instance: PlcInstance, randomness: PlcRandomness):
     for server_blocks in blocks:
         for block in server_blocks:
             block.sort(key=lambda item: item[0])
-    return skel, blocks
+    return skel, blocks, drops
 
 
 def generate_queries(
-    instance: PlcInstance,
-    randomness: PlcRandomness,
-    rng: Optional[random.Random] = None,
+    instance: PlcInstance, randomness: PlcRandomness
 ) -> QueryDescriptor:
-    """Serialise the per-server queries.
-
-    All randomisation lives in `randomness`; the rng parameter is accepted
-    for interface symmetry and is not consumed.
-    """
-    del rng
+    """Serialise the per-server queries; all randomisation lives in
+    `randomness`."""
     if len(randomness.position_map) != instance.stream_length:
         raise ValueError("randomness sized for a different stream length")
-    _, blocks = _annotated_blocks(instance, randomness)
+    _, blocks, _ = _annotated_blocks(instance, randomness)
     per_server = tuple(
         tuple(tuple(wire for wire, _, _ in block) for block in server_blocks)
         for server_blocks in blocks
@@ -416,19 +411,32 @@ def answer_queries(
     """Evaluate every server's sums against the replicated streams.
 
     streams[k-1] holds stream k in served position space. Every server gets
-    the same stream contents; only the sums differ.
+    the same stream contents; only the sums differ. Descriptors arrive from
+    outside, so every term is checked: stream in [1, M], position in [1, T],
+    coefficient in [0, q), and no sum is empty.
     """
     q = descriptor.field_order
-    if len(streams) != descriptor.num_streams:
+    m, t_len = descriptor.num_streams, descriptor.stream_length
+    if len(streams) != m:
         raise ValueError("stream count differs from descriptor")
+    if any(len(row) != t_len for row in streams):
+        raise ValueError("stream length differs from descriptor")
     answers = []
     for server_blocks in descriptor.per_server:
         server_answers = []
         for block in server_blocks:
             vals = []
             for wire_sum in block:
+                if not wire_sum:
+                    raise ValueError("descriptor holds an empty sum")
                 acc = 0
                 for stream, pos, coeff in wire_sum:
+                    if not (
+                        1 <= stream <= m and 1 <= pos <= t_len and 0 <= coeff < q
+                    ):
+                        raise ValueError(
+                            f"descriptor term {(stream, pos, coeff)} out of range"
+                        )
                     acc += coeff * streams[stream - 1][pos - 1]
                 vals.append(acc % q)
             server_answers.append(tuple(vals))
@@ -450,7 +458,7 @@ def reconstruct(
     """
     field = instance.field
     q = field.q
-    skel, blocks = _annotated_blocks(instance, randomness)
+    skel, blocks, drops = _annotated_blocks(instance, randomness)
     rebuilt = tuple(
         tuple(tuple(wire for wire, _, _ in block) for block in server_blocks)
         for server_blocks in blocks
@@ -470,7 +478,6 @@ def reconstruct(
                 values[key] = (lead * ans) % q
 
     # Expand the trimmed sums from the kept ones.
-    _, drops = _trim_tables(instance)
     n = instance.num_servers
     m = instance.num_streams
     for ell in range(1, m + 1):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .ffield import PrimeField, is_prime
+from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF
 
 Rational = Fraction
@@ -121,29 +121,6 @@ def random_demand(
     w = sorted(rng.sample(range(1, num_streams + 1), size))
     v = [field.rand_nonzero_int(rng) for _ in range(size)]
     return Demand(w, VectorGF(v, field))
-
-
-@dataclass(frozen=True)
-class SetupParams:
-    """Run configuration as used by the harness and the audits."""
-
-    num_servers: int
-    num_streams: int
-    demand_size: int
-    field_order: int
-    stream_length: Optional[int] = None
-    privacy_mode: str = "joint"  # "joint" or "individual"
-    seed: Optional[int] = None
-
-    def __post_init__(self):
-        if self.num_servers < 1:
-            raise ValueError("need at least one server")
-        if not 1 <= self.demand_size <= self.num_streams:
-            raise ValueError("demand size must lie in [1, K]")
-        if not is_prime(self.field_order):
-            raise ValueError("field order must be prime")
-        if self.privacy_mode not in ("joint", "individual"):
-            raise ValueError("privacy_mode must be 'joint' or 'individual'")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from plclab.audit import (
-    DistributionTable,
+    _judge,
     _match_server_patterns,
+    _paths,
     apply_pattern_map,
     audit_individual_privacy,
     audit_joint_privacy,
@@ -23,16 +24,6 @@ from plclab.gflinalg import MatrixGF
 from plclab.plc_engine import PlcInstance, generate_queries, identity_plc_randomness
 
 F3 = PrimeField(3)
-
-
-# ---------------------------------------------------------------------------
-# Distribution tables.
-
-def test_distribution_table_tv():
-    a = DistributionTable({"x": Fraction(1, 2), "y": Fraction(1, 2)})
-    b = DistributionTable({"x": Fraction(1, 4), "z": Fraction(3, 4)})
-    assert a.tv_distance(b) == Fraction(3, 4)
-    assert a.tv_distance(a) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +104,36 @@ def test_joint_privacy_sampled_small():
 def test_sampled_mode_requires_rng():
     with pytest.raises(ValueError):
         audit_joint_privacy(2, 3, 2, F3, mode="sampled")
+
+
+# ---------------------------------------------------------------------------
+# Negative control: a view that shows the demanded support leaks the label,
+# so the engine must fail it in both modes and both kinds of statistic.
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize(
+    "protocol,k,d,marginal,exact",
+    [("jplc", 3, 2, False, "1"), ("iplc", 4, 2, True, "1/2")],
+)
+def test_engine_fails_a_leaking_view(mode, protocol, k, d, marginal, exact):
+    supports = list(combinations(range(1, k + 1), d))
+    paths = _paths(
+        mode, protocol, [(s, s) for s in supports], 2, k, F3,
+        random.Random(8), 2000,
+    )
+
+    def leak(enc):
+        return ((0, enc.supports[enc.demand_index - 1]),)
+
+    if marginal:
+        question = (range(1, k + 1), lambda s: s, Fraction(d, k))
+    else:
+        question = (supports, lambda s: (s,), None)
+    rep = _judge("leak", "encoder", mode, None, paths, leak, *question, {})
+    assert not rep.passed
+    assert rep.statistic > 0.2
+    if mode == "exhaustive":
+        assert rep.details["exact_statistic"] == exact
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,17 @@ def test_replay_rejects_corrupt_magic(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("blob", [b"PLCT", b"PLCT\x01"])
+def test_replay_rejects_truncated_header(tmp_path, capsys, blob):
+    path = tmp_path / "short.plct"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="truncated transcript"):
+        read_transcript(str(path))
+    code = main(["--mode", "replay", "--transcript", str(path)])
+    assert code == EXIT_USAGE
+    assert "truncated transcript" in capsys.readouterr().err
+
+
 def test_many_random_transcripts_verify(tmp_path, capsys):
     """Saved transcripts replay bit-exactly across seeds and modes."""
     for seed in range(25):

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from plclab.ffield import (
@@ -7,8 +5,6 @@ from plclab.ffield import (
     FieldMismatchError,
     PrimeField,
     is_prime,
-    uniform,
-    uniform_nonzero,
 )
 
 
@@ -101,15 +97,6 @@ def test_field_is_immutable():
     f = PrimeField(5)
     with pytest.raises(AttributeError):
         f.q = 7
-
-
-def test_uniform_draws_cover_field():
-    f = PrimeField(5)
-    rng = random.Random(1)
-    seen = {int(uniform(f, rng)) for _ in range(200)}
-    assert seen == set(range(5))
-    seen_nz = {int(uniform_nonzero(f, rng)) for _ in range(200)}
-    assert seen_nz == set(range(1, 5))
 
 
 def test_element_repr_roundtrip_info():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 from math import comb
@@ -217,6 +218,37 @@ def test_descriptor_mismatch_rejected():
     answers = answer_queries(desc, streams)
     with pytest.raises(ValueError):
         reconstruct(desc, answers, inst, r2)
+
+
+@pytest.mark.parametrize(
+    "bad_sum",
+    [
+        ((0, 1, 1),),  # stream 0 would read the last stream
+        ((4, 1, 1),),  # stream past M = 3
+        ((1, 0, 1),),  # position 0 would read the last symbol
+        ((1, 9, 1),),  # position past T = 8
+        ((1, 1, 3),),  # coefficient outside [0, q)
+        ((1, 1, -1),),
+        (),  # empty sum
+    ],
+)
+def test_answer_queries_rejects_out_of_range_descriptor(bad_sum):
+    inst = PlcInstance(2, MatrixGF(STACK_A, F3), 2, 8)
+    desc = generate_queries(inst, identity_plc_randomness(8))
+    first = desc.per_server[0]
+    server = (((bad_sum,) + first[0][1:]),) + first[1:]
+    bad = dataclasses.replace(desc, per_server=(server,) + desc.per_server[1:])
+    streams = [[1] * 8 for _ in range(3)]
+    answer_queries(desc, streams)
+    with pytest.raises(ValueError):
+        answer_queries(bad, streams)
+
+
+def test_answer_queries_rejects_short_streams():
+    inst = PlcInstance(2, MatrixGF(STACK_A, F3), 2, 8)
+    desc = generate_queries(inst, identity_plc_randomness(8))
+    with pytest.raises(ValueError):
+        answer_queries(desc, [[1] * 8, [1] * 8, [1] * 7])
 
 
 def test_randomisation_layers_hide_structure():

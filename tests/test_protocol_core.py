@@ -10,7 +10,6 @@ from plclab.protocol_core import (
     Dataset,
     Demand,
     RateReport,
-    SetupParams,
     iplc_capacity,
     jplc_capacity,
     jplt_bounds,
@@ -123,49 +122,6 @@ def test_dataset_shape_and_streams():
     assert ds.num_streams == 4
     assert ds.stream_length == 6
     assert len(ds.stream(2).entries) == 6
-
-
-def test_setup_params_validation():
-    p = SetupParams(
-        num_servers=2,
-        num_streams=3,
-        demand_size=2,
-        field_order=3,
-        stream_length=8,
-        privacy_mode="joint",
-        seed=0,
-    )
-    assert p.num_servers == 2
-    with pytest.raises(ValueError):
-        SetupParams(
-            num_servers=2,
-            num_streams=3,
-            demand_size=4,
-            field_order=3,
-            stream_length=8,
-            privacy_mode="joint",
-            seed=0,
-        )
-    with pytest.raises(ValueError):
-        SetupParams(
-            num_servers=2,
-            num_streams=3,
-            demand_size=2,
-            field_order=4,
-            stream_length=8,
-            privacy_mode="joint",
-            seed=0,
-        )
-    with pytest.raises(ValueError):
-        SetupParams(
-            num_servers=2,
-            num_streams=3,
-            demand_size=2,
-            field_order=3,
-            stream_length=8,
-            privacy_mode="other",
-            seed=0,
-        )
 
 
 def test_rate_report_bits_and_capacity_flag():

@@ -68,7 +68,6 @@ from .protocols import (
     InvariantViolation,
     PlcRunResult,
     coded_family_streams,
-    demand_family_streams,
     family_size,
     minimum_stream_length,
     run_iplc,
@@ -116,7 +115,6 @@ __all__ = [
     "build_partition_matrix",
     "certify_engine_privacy",
     "coded_family_streams",
-    "demand_family_streams",
     "download_report",
     "enumerate_supports",
     "expected_download",

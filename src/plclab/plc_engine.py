@@ -18,7 +18,10 @@ uniformly random bijection tau relabels symbol positions, uniformly random
 signs s_v flip each position's contribution, and every sum is scaled so that
 its first coefficient reads +1. Sums that are linear consequences of other
 sums (given the public stack C) are trimmed client-side before the query is
-sent; the trim is what brings the download down to the capacity point.
+sent; the trim is what brings the download down to the capacity point. It
+follows Sun & Jafar, "The Capacity of Private Computation" (arXiv:1710.11098):
+with B the first rows of C that form a basis, a round's sum is kept exactly
+when its subset meets B, whatever the target.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .ffield import PrimeField
-from .gflinalg import MatrixGF, rank
+from .gflinalg import MatrixGF, _rref, rank
 from .protocol_core import RateReport, Rational
 
 
@@ -149,31 +153,15 @@ AnswerSet = Tuple[Tuple[Tuple[int, ...], ...], ...]
 # Canonical structure: position tables and sum templates.
 
 class _SumTemplate:
-    __slots__ = ("server", "order", "rep", "subset", "coord", "terms", "side")
+    __slots__ = ("server", "order", "rep", "subset", "coord", "terms")
 
-    def __init__(self, server, order, rep, subset, coord, terms, side):
+    def __init__(self, server, order, rep, subset, coord, terms):
         self.server = server
         self.order = order
         self.rep = rep
         self.subset = subset
         self.coord = coord
         self.terms = terms  # ((stream, engine_position, eps), ...) by stream
-        self.side = side    # None, or (source_server, source_coord)
-
-
-class _Skeleton:
-    __slots__ = ("num_servers", "num_streams", "reps", "theta", "val", "sums")
-
-    def __init__(self, num_servers, num_streams, reps, theta, val, sums):
-        self.num_servers = num_servers
-        self.num_streams = num_streams
-        self.reps = reps
-        self.theta = theta
-        self.val = val
-        self.sums = sums
-
-
-_SKELETON_CACHE: Dict[tuple, _Skeleton] = {}
 
 
 def _other_servers(server: int, num_servers: int) -> List[int]:
@@ -190,11 +178,9 @@ def _sign_pattern(s: tuple, theta: int) -> Dict[int, int]:
     return eps_of
 
 
-def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int) -> _Skeleton:
-    key = (num_servers, num_streams, reps, theta)
-    hit = _SKELETON_CACHE.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=32)
+def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
+    """Position tables val[(rep, server, subset)] and every sum's template."""
     n, m = num_servers, num_streams
     streams = range(1, m + 1)
     val: Dict[tuple, Tuple[int, ...]] = {}
@@ -221,9 +207,7 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int) -
                         )
                         counter += slot_count
             # One sum per server, ell-subset and coordinate.
-            sub_slot = (n - 1) ** (ell - 2) if ell >= 2 else 0
             for server in range(1, n + 1):
-                others = _other_servers(server, n)
                 for s in combinations(streams, ell):
                     eps_of = _sign_pattern(s, theta)
                     for coord in range(slot_count):
@@ -235,83 +219,70 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int) -
                             )
                             for x in s
                         )
-                        side = None
-                        if theta in s and ell >= 2:
-                            side = (others[coord // sub_slot], coord % sub_slot)
-                        sums.append(
-                            _SumTemplate(server, ell, rep, s, coord, terms, side)
-                        )
-    skel = _Skeleton(n, m, reps, theta, val, sums)
-    _SKELETON_CACHE[key] = skel
-    return skel
+                        sums.append(_SumTemplate(server, ell, rep, s, coord, terms))
+    return val, sums
 
 
 # ---------------------------------------------------------------------------
 # Trimming: which sums are linear consequences of the others.
 
-def _trim_tables(instance: PlcInstance):
+@lru_cache(maxsize=32)
+def _trim_tables(stack: MatrixGF, theta: int):
     """Per round: kept subsets, and for each dropped subset the coefficients
     expressing its sum through kept sums at the same server and coordinate.
 
-    The dependency pattern does not involve positions, so one table per round
-    covers every server, repetition and coordinate.
+    The closed form of Sun & Jafar, "The Capacity of Private Computation"
+    (arXiv:1710.11098): let B be the first rows of C that form a basis. A
+    round-ell sum is kept exactly when its subset meets B. For x outside B
+    write C_x = sum_b beta_xb C_b; for a subset s of B's complement the wedge
+    of (e_x - sum_b beta_xb e_b) over x in s, with theta ordered last as in
+    `_sign_pattern`, lies in the kernel of the round's sum map. Its e_s
+    coefficient is 1 and every other term meets B, so it expands the dropped
+    sum through kept ones. The pattern does not involve positions, so one
+    table per round covers every server, repetition and coordinate. The
+    cache hands the same tables to every caller, so callers only read them.
     """
-    field = instance.field
-    q = field.q
-    m = instance.num_streams
-    theta = instance.demand_index
-    c_rows = instance.combination_matrix.rows
-    j_dim = instance.num_rows
+    q = stack.field.q
+    m = stack.nrows
+    rref, pivots = _rref(stack.transpose().rows, q)
+    basis = {p + 1 for p in pivots}
+    # Relabel streams by rank with theta last, so the wedge order is numeric.
+    order = sorted(range(1, m + 1), key=lambda x: (x == theta, x))
+    rank_of = {x: r for r, x in enumerate(order, 1)}
+    # vec[r] = e_x - sum_b beta_xb e_b for the stream x of rank r outside B.
+    vec = {
+        rank_of[x]: [(rank_of[x], 1)]
+        + [(rank_of[p + 1], -row[x - 1]) for row, p in zip(rref, pivots) if row[x - 1]]
+        for x in order
+        if x not in basis
+    }
     kept: Dict[int, List[tuple]] = {}
     drops: Dict[int, Dict[tuple, Tuple[tuple, ...]]] = {}
-    streams = range(1, m + 1)
+    wedges: Dict[tuple, Dict[tuple, int]] = {(): {(): 1}}
     for ell in range(1, m + 1):
-        pivots = []  # (lead_key, row_dict, expr_dict over kept subsets)
-        kept_ell: List[tuple] = []
-        drops_ell: Dict[tuple, Tuple[tuple, ...]] = {}
-        for s in combinations(streams, ell):
-            eps_of = _sign_pattern(s, theta)
-            row: Dict[tuple, int] = {}
-            for x in s:
-                u = tuple(y for y in s if y != x)
-                e = eps_of[x] % q
-                for j in range(j_dim):
-                    coeff = (e * c_rows[x - 1][j]) % q
-                    if coeff:
-                        row[(u, j)] = coeff
-            expr: Dict[tuple, int] = {s: 1}
-            for lead_key, p_row, p_expr in pivots:
-                f = row.get(lead_key, 0)
-                if not f:
-                    continue
-                for k_, v_ in p_row.items():
-                    nv = (row.get(k_, 0) - f * v_) % q
-                    if nv:
-                        row[k_] = nv
-                    elif k_ in row:
-                        del row[k_]
-                for k_, v_ in p_expr.items():
-                    nv = (expr.get(k_, 0) - f * v_) % q
-                    if nv:
-                        expr[k_] = nv
-                    elif k_ in expr:
-                        del expr[k_]
-            if row:
-                lead_key = min(row)
-                inv = field.inv(row[lead_key])
-                row = {k_: (v_ * inv) % q for k_, v_ in row.items()}
-                expr = {k_: (v_ * inv) % q for k_, v_ in expr.items()}
-                pivots.append((lead_key, row, expr))
-                kept_ell.append(s)
-            else:
-                # 0 = sum expr[t] * sum_t with expr[s] = 1, so the dropped
-                # sum expands as minus the rest.
-                combo = tuple(
-                    (t, (-v_) % q) for t, v_ in sorted(expr.items()) if t != s
+        kept[ell] = [
+            s for s in combinations(range(1, m + 1), ell) if not basis.isdisjoint(s)
+        ]
+        drops[ell] = {}
+        grown = {}
+        for s in combinations(vec, ell):
+            # wedge(s) = wedge(s minus its last stream) ^ vec[last stream]
+            w: Dict[tuple, int] = {}
+            for t, c in wedges[s[:-1]].items():
+                for y, a in vec[s[-1]]:
+                    if y not in t:
+                        key = tuple(sorted(t + (y,)))
+                        sign = (-1) ** sum(z > y for z in t)
+                        w[key] = (w.get(key, 0) + sign * c * a) % q
+            grown[s] = w
+            drops[ell][tuple(sorted(order[r - 1] for r in s))] = tuple(
+                sorted(
+                    (tuple(sorted(order[r - 1] for r in t)), (-c) % q)
+                    for t, c in w.items()
+                    if c and t != s
                 )
-                drops_ell[s] = combo
-        kept[ell] = kept_ell
-        drops[ell] = drops_ell
+            )
+        wedges = grown
     return kept, drops
 
 
@@ -339,17 +310,19 @@ def _bake(template: _SumTemplate, randomness: PlcRandomness, q: int):
 def _annotated_blocks(instance: PlcInstance, randomness: PlcRandomness):
     """Kept sums, serialised and canonically ordered, with their templates.
 
-    Returns the skeleton, blocks[server-1][ell-1] = list of (wire_sum,
-    template, lead), and the trim's drop table.
+    Returns the position tables, blocks[server-1][ell-1] = list of
+    (wire_sum, template, lead), and the trim's drop table.
     """
     n = instance.num_servers
     m = instance.num_streams
     q = instance.field.q
-    skel = _build_skeleton(n, m, instance.repetitions, instance.demand_index)
-    kept, drops = _trim_tables(instance)
+    val, sums = _build_skeleton(n, m, instance.repetitions, instance.demand_index)
+    kept, drops = _trim_tables(
+        instance.combination_matrix, instance.demand_index
+    )
     kept_sets = {ell: set(v) for ell, v in kept.items()}
     blocks = [[[] for _ in range(m)] for _ in range(n)]
-    for tmpl in skel.sums:
+    for tmpl in sums:
         if tmpl.subset not in kept_sets[tmpl.order]:
             continue
         wire, lead = _bake(tmpl, randomness, q)
@@ -357,7 +330,7 @@ def _annotated_blocks(instance: PlcInstance, randomness: PlcRandomness):
     for server_blocks in blocks:
         for block in server_blocks:
             block.sort(key=lambda item: item[0])
-    return skel, blocks, drops
+    return val, blocks, drops
 
 
 def generate_queries(
@@ -413,7 +386,8 @@ def answer_queries(
     streams[k-1] holds stream k in served position space. Every server gets
     the same stream contents; only the sums differ. Descriptors arrive from
     outside, so every term is checked: stream in [1, M], position in [1, T],
-    coefficient in [0, q), and no sum is empty.
+    coefficient in [0, q), streams strictly increasing within a sum, and no
+    sum is empty.
     """
     q = descriptor.field_order
     m, t_len = descriptor.num_streams, descriptor.stream_length
@@ -430,13 +404,16 @@ def answer_queries(
                 if not wire_sum:
                     raise ValueError("descriptor holds an empty sum")
                 acc = 0
+                prev = 0
                 for stream, pos, coeff in wire_sum:
                     if not (
-                        1 <= stream <= m and 1 <= pos <= t_len and 0 <= coeff < q
+                        prev < stream <= m and 1 <= pos <= t_len and 0 <= coeff < q
                     ):
                         raise ValueError(
                             f"descriptor term {(stream, pos, coeff)} out of range"
+                            " or out of order"
                         )
+                    prev = stream
                     acc += coeff * streams[stream - 1][pos - 1]
                 vals.append(acc % q)
             server_answers.append(tuple(vals))
@@ -458,7 +435,7 @@ def reconstruct(
     """
     field = instance.field
     q = field.q
-    skel, blocks, drops = _annotated_blocks(instance, randomness)
+    val, blocks, drops = _annotated_blocks(instance, randomness)
     rebuilt = tuple(
         tuple(tuple(wire for wire, _, _ in block) for block in server_blocks)
         for server_blocks in blocks
@@ -498,8 +475,7 @@ def reconstruct(
     theta = instance.demand_index
     r_sign = {ell: _sign_to_field((-1) ** (ell - 1), q) for ell in range(1, m + 1)}
     theta_engine: Dict[int, int] = {}
-    for tmpl_subset_len in range(1, m + 1):
-        ell = tmpl_subset_len
+    for ell in range(1, m + 1):
         slot_count = (n - 1) ** (ell - 1)
         for s in combinations(range(1, m + 1), ell):
             if theta not in s:
@@ -507,7 +483,7 @@ def reconstruct(
             rest = tuple(x for x in s if x != theta)
             for rep in range(instance.repetitions):
                 for server in range(1, n + 1):
-                    fresh = skel.val[(rep, server, rest)]
+                    fresh = val[(rep, server, rest)]
                     others = _other_servers(server, n)
                     sub_slot = (n - 1) ** (ell - 2) if ell >= 2 else 0
                     for coord in range(slot_count):

@@ -13,9 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
-from .gflinalg import MatrixGF
+from .gflinalg import MatrixGF, vec_mat
 from .iplc_encoder import IplcDraws, IplcEncoderOutput, build_partition_matrix
 from .jplc_encoder import JplcDraws, JplcEncoderOutput, build_grs_matrix
 from .plc_engine import (
@@ -54,21 +52,19 @@ class PlcRunResult:
 
 
 def coded_family_streams(generator, combination_vectors, dataset: Dataset) -> List[List[int]]:
-    """All M streams Z_k = C_k . G . X, as plain int lists."""
+    """All M streams Z_k = C_k . G . X, exact over GF(q) for every q.
+
+    Z_k sums U_k[i] * X_i over the support of U_k = C_k . G, in Python ints.
+    """
     q = dataset.field.q
-    x = np.array(dataset.x.rows, dtype=np.int64)
-    g = np.array(generator.rows, dtype=np.int64)
-    c = np.array([cv.entries for cv in combination_vectors], dtype=np.int64)
-    y = g.dot(x) % q
-    z = c.dot(y) % q
-    return z.tolist()
-
-
-def demand_family_streams(encoder, dataset: Dataset) -> List[List[int]]:
-    """Streams of the family an encoder output defines; see coded_family_streams."""
-    return coded_family_streams(
-        encoder.generator, encoder.combination_vectors, dataset
-    )
+    out = []
+    for cv in combination_vectors:
+        z = [0] * dataset.stream_length
+        for c, x_row in zip(vec_mat(cv, generator).entries, dataset.x.rows):
+            if c:
+                z = [a + c * x for a, x in zip(z, x_row)]
+        out.append([a % q for a in z])
+    return out
 
 
 def _run_engine(
@@ -98,7 +94,9 @@ def _run_engine(
     if randomness is None:
         randomness = random_plc_randomness(t_len, rng)
     descriptor = generate_queries(instance, randomness)
-    streams = demand_family_streams(encoder, dataset)
+    streams = coded_family_streams(
+        encoder.generator, encoder.combination_vectors, dataset
+    )
     answers = answer_queries(descriptor, streams)
     normalised = reconstruct(descriptor, answers, instance, randomness)
     v1 = encoder.demand.coefficients.entries[0]

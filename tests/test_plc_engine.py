@@ -4,12 +4,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plclab.ffield import PrimeField
-from plclab.gflinalg import MatrixGF
+from plclab.gflinalg import MatrixGF, rank
 from plclab.plc_engine import (
     PlcInstance,
     PlcRandomness,
+    _sign_pattern,
+    _trim_tables,
     answer_queries,
     download_report,
     expected_download,
@@ -18,6 +22,8 @@ from plclab.plc_engine import (
     random_plc_randomness,
     reconstruct,
 )
+from plclab.protocol_core import random_dataset, random_demand
+from plclab.protocols import run_jplc
 
 F3 = PrimeField(3)
 
@@ -230,6 +236,8 @@ def test_descriptor_mismatch_rejected():
         ((1, 1, 3),),  # coefficient outside [0, q)
         ((1, 1, -1),),
         (),  # empty sum
+        ((2, 1, 1), (1, 1, 1)),  # streams out of order
+        ((1, 1, 1), (1, 2, 1)),  # one stream twice
     ],
 )
 def test_answer_queries_rejects_out_of_range_descriptor(bad_sum):
@@ -301,3 +309,113 @@ def test_position_tables_partition_fresh_positions():
                         seen.add(pos)
         # trimming can drop a position's only appearance, but none may exceed T
         assert seen <= set(range(1, 17))
+
+
+# ---------------------------------------------------------------------------
+# Properties of the closed-form trim over random full-column-rank stacks.
+
+Q_CHOICES = (2, 3, 5, 2**61 - 1)
+PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
+
+
+@st.composite
+def full_rank_stacks(draw, qs=Q_CHOICES, max_streams=7, min_dependent=0):
+    """(stack, theta): an M x J stack of full column rank, zero rows allowed,
+    with M - J >= min_dependent."""
+    q = draw(st.sampled_from(qs))
+    m = draw(st.sampled_from(range(1 + min_dependent, max_streams + 1)))
+    j = draw(st.sampled_from(range(1, m - min_dependent + 1)))
+    entry = st.sampled_from((0, 1, q - 1)) | st.integers(0, q - 1)
+    zero_row = st.sampled_from((False, False, False, True))
+    rows = [
+        [0] * j if draw(zero_row) else [draw(entry) for _ in range(j)]
+        for _ in range(m)
+    ]
+    stack = MatrixGF(rows, PrimeField(q))
+    assume(rank(stack) == j)
+    return stack, draw(st.integers(1, m))
+
+
+def _sum_row(stack, s, theta):
+    """A round's sum over subset s as a dense vector over ((ell-1)-subset, j):
+    stream x contributes eps_x * C_x at the positions indexed by s minus x."""
+    q, m, j_dim = stack.field.q, stack.nrows, stack.ncols
+    cols = {u: i for i, u in enumerate(combinations(range(1, m + 1), len(s) - 1))}
+    row = [0] * (len(cols) * j_dim)
+    for x, eps in _sign_pattern(s, theta).items():
+        base = cols[tuple(y for y in s if y != x)] * j_dim
+        for j, c in enumerate(stack.rows[x - 1]):
+            row[base + j] = (eps * c) % q
+    return row
+
+
+@PROPERTY
+@given(full_rank_stacks())
+def test_trim_keeps_a_basis_of_every_round(case):
+    stack, theta = case
+    m, j_dim = stack.nrows, stack.ncols
+    kept, _ = _trim_tables(stack, theta)
+    for ell in range(1, m + 1):
+        count = comb(m, ell) - comb(m - j_dim, ell)
+        assert len(kept[ell]) == count
+        rows = [_sum_row(stack, s, theta) for s in kept[ell]]
+        assert rank(MatrixGF(rows, stack.field)) == count
+
+
+@PROPERTY
+@given(full_rank_stacks())
+def test_trim_kept_set_ignores_theta(case):
+    stack, _ = case
+    kept_sets = {
+        tuple(map(tuple, _trim_tables(stack, theta)[0].values()))
+        for theta in range(1, stack.nrows + 1)
+    }
+    assert len(kept_sets) == 1
+
+
+@PROPERTY
+@given(full_rank_stacks())
+def test_trim_drops_are_exact_identities(case):
+    stack, theta = case
+    q = stack.field.q
+    kept, drops = _trim_tables(stack, theta)
+    for ell, drops_ell in drops.items():
+        assert set(drops_ell).isdisjoint(kept[ell])
+        assert len(drops_ell) + len(kept[ell]) == comb(stack.nrows, ell)
+        for s, combo in drops_ell.items():
+            expanded = [0] * len(_sum_row(stack, s, theta))
+            for t, lam in combo:
+                assert t in kept[ell]
+                for i, v in enumerate(_sum_row(stack, t, theta)):
+                    expanded[i] = (expanded[i] + lam * v) % q
+            assert expanded == _sum_row(stack, s, theta)
+
+
+def test_run_trims_once():
+    rng = random.Random(5)
+    ds = random_dataset(F3, 3, 8, rng)
+    _trim_tables.cache_clear()
+    run_jplc(2, ds, random_demand(F3, 3, 2, rng), rng, verify=True)
+    info = _trim_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.data(), st.sampled_from((2, 3)))
+def test_roundtrip_exact_at_large_q(data, n):
+    """Every target, inside the basis or expanded from it, comes back exact.
+    Two or more dependent streams make round-two sums drop."""
+    q = 2**61 - 1
+    stack, _ = data.draw(full_rank_stacks((q,), max_streams=4, min_dependent=2))
+    m, j_dim = stack.nrows, stack.ncols
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    t = n**m
+    underlying = [[rng.randrange(q) for _ in range(t)] for _ in range(j_dim)]
+    streams = _stacked_streams(stack.rows, underlying, q)
+    for theta in range(1, m + 1):
+        inst = PlcInstance(n, stack, theta, t)
+        randomness = random_plc_randomness(t, rng)
+        desc = generate_queries(inst, randomness)
+        answers = answer_queries(desc, streams)
+        assert reconstruct(desc, answers, inst, randomness) == streams[theta - 1]
+        assert desc.total_sums() == expected_download(inst)

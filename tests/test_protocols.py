@@ -3,11 +3,17 @@ import random
 import pytest
 
 from plclab.ffield import PrimeField
-from plclab.gflinalg import VectorGF
-from plclab.protocol_core import Demand, iplc_capacity, jplc_capacity, random_dataset
+from plclab.gflinalg import MatrixGF, VectorGF
+from plclab.protocol_core import (
+    Dataset,
+    Demand,
+    iplc_capacity,
+    jplc_capacity,
+    random_dataset,
+)
 from plclab.protocols import (
     InvariantViolation,
-    demand_family_streams,
+    coded_family_streams,
     family_size,
     minimum_stream_length,
     run_iplc,
@@ -65,11 +71,23 @@ def test_demand_family_contains_planted_stream():
     ds = random_dataset(F3, 3, 8, rng)
     demand = Demand((1, 3), VectorGF([1, 2], F3))
     result = run_jplc(2, ds, demand, rng)
-    streams = demand_family_streams(result.encoder, ds)
+    streams = coded_family_streams(
+        result.encoder.generator, result.encoder.combination_vectors, ds
+    )
     v1 = demand.coefficients.entries[0]
     k_star = result.encoder.demand_index
     target = demand.evaluate(ds).entries
     assert tuple((v1 * z) % 3 for z in streams[k_star - 1]) == target
+
+
+def test_coded_family_streams_exact_at_large_q():
+    """Products of entries near 2^61 overflow a machine word; streams stay
+    exact: (q-1) * 3 * (q-1) = 3 mod q."""
+    q = 2**61 - 1
+    f = PrimeField(q)
+    ds = Dataset(MatrixGF([[q - 1] * 2] * 3, f))
+    g = MatrixGF([[q - 1] * 3], f)
+    assert coded_family_streams(g, [VectorGF([1], f)], ds) == [[3, 3]]
 
 
 def test_repetitions_scale_download():

@@ -22,9 +22,7 @@ from .gflinalg import (
     VectorGF,
     nullspace_basis,
     rank,
-    row_reduce,
     row_space_vector_with_support,
-    solve_coefficients,
     support,
 )
 from .iplc_encoder import (
@@ -135,11 +133,9 @@ __all__ = [
     "random_side_info_instance",
     "rank",
     "reconstruct",
-    "row_reduce",
     "row_space_vector_with_support",
     "run_iplc",
     "run_jplc",
-    "solve_coefficients",
     "solve_pir_psi_via_jplc",
     "solve_pir_si_via_iplc",
     "support",

@@ -439,25 +439,49 @@ def _audit_mode(args) -> Tuple[int, dict]:
     return (EXIT_OK if rep.passed else EXIT_AUDIT_FAILURE), report
 
 
+def _is_ints(value, depth: int) -> bool:
+    """Whether value is an int (depth 0) or lists nested depth deep of ints."""
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_is_ints(x, depth - 1) for x in value)
+
+
+def _ints(value, depth: int, what: str):
+    """value, after checking that it is an int (depth 0) or lists nested
+    depth deep of ints; a missing entry arrives as None and fails too."""
+    if not _is_ints(value, depth):
+        kind = "an integer" if depth == 0 else "integers"
+        raise ValueError(f"transcript {what} must be {kind}")
+    return value
+
+
 def _replay_mode(args) -> Tuple[int, dict]:
     if not args.transcript:
         raise ValueError("replay needs --transcript FILE")
     payload = read_transcript(args.transcript)
-    params = payload["params"]
-    field = _require_prime(params["field"])
-    dataset = Dataset(MatrixGF(payload["dataset"], field))
-    generator = MatrixGF(payload["generator"], field)
-    combos = [VectorGF(row, field) for row in payload["combinations"]]
-    stack = MatrixGF(payload["combinations"], field)
+    params, drawn = payload["params"], payload["randomness"]
+    if not (isinstance(params, dict) and isinstance(drawn, dict)):
+        raise ValueError("transcript params and randomness must be objects")
+    field = _require_prime(_ints(params.get("field"), 0, "params.field"))
+    dataset = Dataset(MatrixGF(_ints(payload["dataset"], 2, "dataset"), field))
+    demand = Demand(
+        tuple(_ints(params.get("support"), 1, "params.support")),
+        VectorGF(_ints(params.get("coefficients"), 1, "params.coefficients"), field),
+    )
+    if demand.indices[-1] > dataset.num_streams:
+        raise ValueError("transcript params.support exceeds the stream count")
+    generator = MatrixGF(_ints(payload["generator"], 2, "generator"), field)
+    stack = MatrixGF(_ints(payload["combinations"], 2, "combinations"), field)
+    combos = [VectorGF(row, field) for row in stack.rows]
     randomness = PlcRandomness(
-        tuple(payload["randomness"]["position_map"]),
-        tuple(payload["randomness"]["signs"]),
+        tuple(_ints(drawn.get("position_map"), 1, "randomness.position_map")),
+        tuple(_ints(drawn.get("signs"), 1, "randomness.signs")),
     )
     instance = PlcInstance(
-        num_servers=params["servers"],
+        num_servers=_ints(params.get("servers"), 0, "params.servers"),
         combination_matrix=stack,
-        demand_index=payload["randomness"]["demand_index"],
-        stream_length=params["stream_length"],
+        demand_index=_ints(drawn.get("demand_index"), 0, "randomness.demand_index"),
+        stream_length=_ints(params.get("stream_length"), 0, "params.stream_length"),
     )
     mismatch = None
     descriptor = generate_queries(instance, randomness)
@@ -479,13 +503,8 @@ def _replay_mode(args) -> Tuple[int, dict]:
             recovered = [(v1 * z) % field.q for z in normalised]
             if recovered != payload["recovered"]:
                 mismatch = "reconstruction mismatch"
-            else:
-                expected = Demand(
-                    tuple(params["support"]),
-                    VectorGF(params["coefficients"], field),
-                ).evaluate(dataset)
-                if tuple(recovered) != expected.entries:
-                    mismatch = "recovered stream differs from the demand"
+            elif tuple(recovered) != demand.evaluate(dataset).entries:
+                mismatch = "recovered stream differs from the demand"
     report = {
         "mode": "replay",
         "transcript": args.transcript,

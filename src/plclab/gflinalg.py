@@ -122,45 +122,11 @@ class MatrixGF:
         """Row i, 1-based."""
         return VectorGF(self.rows[i - 1], self.field)
 
-    def column(self, j: int) -> VectorGF:
-        """Column j, 1-based."""
-        return VectorGF([r[j - 1] for r in self.rows], self.field)
-
     def transpose(self) -> "MatrixGF":
         return MatrixGF(zip(*self.rows) if self.rows else [], self.field)
 
     def row_lists(self):
         return [list(r) for r in self.rows]
-
-
-def identity_matrix(n: int, field: PrimeField) -> MatrixGF:
-    return MatrixGF(
-        [[1 if i == j else 0 for j in range(n)] for i in range(n)], field
-    )
-
-
-def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    if a.ncols != b.nrows:
-        raise ValueError(f"shape mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    q = a.field.q
-    bt = list(zip(*b.rows))
-    out = [
-        [sum(x * y for x, y in zip(row, col)) % q for col in bt]
-        for row in a.rows
-    ]
-    return MatrixGF(out, a.field)
-
-
-def mat_vec(a: MatrixGF, v: VectorGF) -> VectorGF:
-    if a.field != v.field or a.ncols != len(v):
-        raise ValueError("shape or field mismatch")
-    q = a.field.q
-    return VectorGF(
-        [sum(x * y for x, y in zip(row, v.entries)) % q for row in a.rows],
-        a.field,
-    )
 
 
 def vec_mat(v: VectorGF, a: MatrixGF) -> VectorGF:
@@ -209,11 +175,6 @@ def _rref(rows, q):
     return rows, pivots
 
 
-def row_reduce(a: MatrixGF) -> MatrixGF:
-    rows, _ = _rref(a.rows, a.field.q)
-    return MatrixGF(rows, a.field)
-
-
 def rank(a: MatrixGF) -> int:
     _, pivots = _rref(a.rows, a.field.q)
     return len(pivots)
@@ -233,30 +194,6 @@ def nullspace_basis(a: MatrixGF):
             vec[p] = (-rows[r_i][f]) % q
         basis.append(VectorGF(vec, a.field))
     return basis
-
-
-def solve_coefficients(g: MatrixGF, u: VectorGF) -> VectorGF:
-    """Solve c . G = U for c, assuming G has full row rank.
-
-    Raises ValueError when U is outside the row space.
-    """
-    if g.field != u.field or g.ncols != len(u):
-        raise ValueError("shape or field mismatch")
-    q = g.field.q
-    # Augmented system on the transpose: G^T c^T = U^T.
-    aug = [list(col) + [u.entries[i]] for i, col in enumerate(zip(*g.rows))]
-    rows, pivots = _rref(aug, q)
-    ncols = g.nrows
-    sol = [0] * ncols
-    for r_i, p in enumerate(pivots):
-        if p == ncols:
-            raise ValueError("vector is not in the row space")
-        sol[p] = rows[r_i][ncols]
-    # Full row rank of G means the solution, when it exists, is unique.
-    check = vec_mat(VectorGF(sol, g.field), g)
-    if check.entries != u.entries:
-        raise ValueError("vector is not in the row space")
-    return VectorGF(sol, g.field)
 
 
 def row_space_vector_with_support(

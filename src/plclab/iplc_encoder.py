@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF, rank
-from .jplc_encoder import derive_combination_vectors
+from .jplc_encoder import check_planted_demand, derive_combination_vectors
 from .protocol_core import Demand
 
 
@@ -274,7 +274,7 @@ def build_partition_matrix_r0(
         demand=demand,
         field=field,
     )
-    _check_planted(out)
+    check_planted_demand(out)
     return out
 
 
@@ -385,7 +385,7 @@ def build_partition_matrix_rdivd(
         demand=demand,
         field=field,
     )
-    _check_planted(out)
+    check_planted_demand(out)
     return out
 
 
@@ -402,15 +402,3 @@ def build_partition_matrix(
         return build_partition_matrix_r0(demand, num_streams, field, rng, draws)
     return build_partition_matrix_rdivd(demand, num_streams, field, rng, draws)
 
-
-def _check_planted(out: IplcEncoderOutput) -> None:
-    """The combination at the demand index must be the demand, up to the
-    leading-one normalisation factor 1/v_1."""
-    demand = out.demand
-    field = out.field
-    k_star = out.demand_index
-    assert out.supports[k_star - 1] == demand.indices
-    u = out.row_space_vectors[k_star - 1]
-    v1_inv = field.inv(demand.coefficients.entries[0])
-    for idx, v in zip(demand.indices, demand.coefficients.entries):
-        assert u.entries[idx - 1] == (v1_inv * v) % field.q

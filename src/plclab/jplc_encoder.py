@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
 from .ffield import PrimeField
-from .gflinalg import MatrixGF, VectorGF, rank, row_space_vector_with_support
+from .gflinalg import MatrixGF, VectorGF, nullspace_basis, rank, support, vec_mat
 from .protocol_core import Demand
 
 
@@ -60,17 +60,47 @@ def derive_combination_vectors(
     g: MatrixGF, supports: Sequence[Tuple[int, ...]]
 ) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
     """For each support, the unique leading-one row-space vector U_k on it and
-    the coefficients C_k with C_k . G = U_k."""
+    the coefficients C_k with C_k . G = U_k.
+
+    C_k spans the left kernel of G restricted to the columns outside the
+    support. Both encoders build G so that this kernel is one-dimensional
+    for every support they use; anything else is a ValueError.
+    """
+    field = g.field
     u_list = []
     c_list = []
     for s in supports:
-        found = row_space_vector_with_support(g, s, 1)
-        if found is None:
+        inside = set(s)
+        # A zero row keeps the kernel's width when the support is every column.
+        outside = [
+            col for j, col in enumerate(zip(*g.rows), 1) if j not in inside
+        ] or [[0] * g.nrows]
+        basis = nullspace_basis(MatrixGF(outside, field))
+        if len(basis) != 1:
+            raise ValueError(
+                f"row space has {len(basis)} independent vectors vanishing "
+                f"outside {s}, not one"
+            )
+        c = basis[0]
+        u = vec_mat(c, g)
+        if support(u) != tuple(s):
             raise ValueError(f"row space has no vector with support {s}")
-        u, c = found
-        u_list.append(u)
-        c_list.append(c)
+        lead_inv = field.inv(u.entries[s[0] - 1])
+        u_list.append(u.scale(lead_inv))
+        c_list.append(c.scale(lead_inv))
     return tuple(u_list), tuple(c_list)
+
+
+def check_planted_demand(out) -> None:
+    """The combination at the demand index of either encoder's output must be
+    the demand, up to the leading-one normalisation factor 1/v_1."""
+    demand = out.demand
+    q = out.field.q
+    assert out.supports[out.demand_index - 1] == demand.indices
+    u_star = out.row_space_vectors[out.demand_index - 1]
+    v1_inv = out.field.inv(demand.coefficients.entries[0])
+    for idx, v in zip(demand.indices, demand.coefficients.entries):
+        assert u_star.entries[idx - 1] == (v1_inv * v) % q
 
 
 def build_grs_matrix(
@@ -153,24 +183,17 @@ def build_grs_matrix(
 
     supports = enumerate_supports(k, d)
     u_list, c_list = derive_combination_vectors(g, supports)
-    demand_index = supports.index(w) + 1
-
-    # The planted combination must match the demand up to the leading-one
-    # normalisation, whose factor is the inverse of v_1.
-    v1_inv = field.inv(demand.coefficients.entries[0])
-    u_star = u_list[demand_index - 1]
-    for idx, v in zip(w, demand.coefficients.entries):
-        assert u_star.entries[idx - 1] == (v1_inv * v) % field.q
-
-    return JplcEncoderOutput(
+    out = JplcEncoderOutput(
         generator=g,
         supports=supports,
         row_space_vectors=u_list,
         combination_vectors=c_list,
-        demand_index=demand_index,
+        demand_index=supports.index(w) + 1,
         pi=pi,
         omegas=omegas,
         padding_coeffs=padding,
         demand=demand,
         field=field,
     )
+    check_planted_demand(out)
+    return out

@@ -243,6 +243,57 @@ def test_replay_rejects_truncated_header(tmp_path, capsys, blob):
     assert "truncated transcript" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda p: p.update(params=list(p["params"].values())),
+        lambda p: p["params"].pop("field"),
+        lambda p: p["params"].update(field="3"),
+        lambda p: p.update(randomness=None),
+        lambda p: p["params"].update(coefficients=[]),
+    ],
+    ids=[
+        "params-list",
+        "params-no-field",
+        "field-string",
+        "randomness-null",
+        "coefficients-empty",
+    ],
+)
+def test_replay_rejects_malformed_section(tmp_path, capsys, tamper):
+    path = tmp_path / "run.plct"
+    code, _ = _run(
+        capsys,
+        [
+            "--mode", "jplc", "--messages", "3", "--field", "3",
+            "--support", "1,3", "--seed", "9", "--transcript", str(path),
+        ],
+    )
+    assert code == EXIT_OK
+    payload = read_transcript(str(path))
+    tamper(payload)
+    write_transcript(str(path), payload)
+    code = main(["--mode", "replay", "--transcript", str(path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_large_field_run_and_replay(tmp_path, capsys):
+    path = tmp_path / "wide.plct"
+    code, out = _run(
+        capsys,
+        [
+            "--mode", "jplc", "--messages", "3", "--field", str(2**61 - 1),
+            "--support", "1,3", "--seed", "3", "--transcript", str(path),
+        ],
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["match"] is True
+    code, out = _run(capsys, ["--mode", "replay", "--transcript", str(path)])
+    assert code == EXIT_OK
+    assert json.loads(out)["verified"] is True
+
+
 def test_many_random_transcripts_verify(tmp_path, capsys):
     """Saved transcripts replay bit-exactly across seeds and modes."""
     for seed in range(25):

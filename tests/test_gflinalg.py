@@ -7,15 +7,10 @@ from plclab.ffield import PrimeField
 from plclab.gflinalg import (
     MatrixGF,
     VectorGF,
-    identity_matrix,
-    mat_mul,
-    mat_vec,
     nullspace_basis,
     rank,
-    row_reduce,
     row_space_members,
     row_space_vector_with_support,
-    solve_coefficients,
     support,
     vec_mat,
 )
@@ -38,26 +33,11 @@ def test_matrix_row_column_one_based():
     m = MatrixGF([[1, 2], [0, 1], [2, 2]], F3)
     assert m.row(1).entries == (1, 2)
     assert m.row(3).entries == (2, 2)
-    assert m.column(2).entries == (2, 1, 2)
     assert m.transpose().rows == ((1, 0, 2), (2, 1, 2))
-
-
-def test_mat_mul_against_direct_sum():
-    rng = random.Random(3)
-    for _ in range(20):
-        a = MatrixGF([[rng.randrange(5) for _ in range(4)] for _ in range(3)], F5)
-        b = MatrixGF([[rng.randrange(5) for _ in range(2)] for _ in range(4)], F5)
-        c = mat_mul(a, b)
-        for i in range(3):
-            for j in range(2):
-                direct = sum(a.rows[i][t] * b.rows[t][j] for t in range(4)) % 5
-                assert c.rows[i][j] == direct
 
 
 def test_mat_vec_and_vec_mat():
     a = MatrixGF([[1, 2, 0], [0, 1, 1]], F3)
-    v = VectorGF([1, 1, 2], F3)
-    assert mat_vec(a, v).entries == ((1 + 2) % 3, (1 + 2) % 3)
     u = VectorGF([2, 1], F3)
     assert vec_mat(u, a).entries == (2, (4 + 1) % 3, 1)
 
@@ -77,15 +57,6 @@ def test_rank_by_enumeration():
         assert 3 ** rank(m) == len(span)
 
 
-def test_row_reduce_idempotent_and_span_preserving():
-    m = MatrixGF([[1, 2, 0], [2, 1, 0], [0, 1, 1]], F3)
-    r = row_reduce(m)
-    assert row_reduce(r).rows == r.rows
-    assert set(v.entries for v in row_space_members(m)) == set(
-        v.entries for v in row_space_members(r)
-    )
-
-
 def test_nullspace_vectors_annihilate():
     rng = random.Random(5)
     for _ in range(25):
@@ -93,20 +64,7 @@ def test_nullspace_vectors_annihilate():
         basis = nullspace_basis(m)
         assert len(basis) == 4 - rank(m)
         for v in basis:
-            assert mat_vec(m, v).entries == (0, 0)
-
-
-def test_solve_coefficients_roundtrip():
-    g = MatrixGF([[1, 2, 1], [0, 1, 1]], F3)
-    u = VectorGF([1, 0, 2], F3)  # row 1 + 2 * row 2
-    c = solve_coefficients(g, u)
-    assert vec_mat(c, g).entries == u.entries
-
-
-def test_solve_coefficients_rejects_outsider():
-    g = MatrixGF([[1, 0, 0], [0, 1, 0]], F3)
-    with pytest.raises(ValueError):
-        solve_coefficients(g, VectorGF([0, 0, 1], F3))
+            assert [m.row(i).dot(v) for i in (1, 2)] == [0, 0]
 
 
 def _oracle_support_search(g, target_support, pivot_value=1):
@@ -148,8 +106,3 @@ def _all_supports(k, d):
     from itertools import combinations
 
     return combinations(range(1, k + 1), d)
-
-
-def test_identity_matrix():
-    m = identity_matrix(3, F3)
-    assert m.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

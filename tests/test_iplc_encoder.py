@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from plclab.ffield import PrimeField
-from plclab.gflinalg import VectorGF, rank, vec_mat
+from plclab.gflinalg import VectorGF, rank, row_space_vector_with_support, vec_mat
 from plclab.iplc_encoder import (
     IplcDraws,
     algorithm_probabilities,
@@ -13,7 +13,9 @@ from plclab.iplc_encoder import (
     partition_shape,
     planted_slot_map,
 )
-from plclab.protocol_core import Demand
+from plclab.jplc_encoder import derive_combination_vectors
+from plclab.protocol_core import Demand, random_dataset, random_demand
+from plclab.protocols import minimum_stream_length, run_iplc
 
 F3 = PrimeField(3)
 
@@ -170,3 +172,40 @@ def test_deterministic_given_draws():
     b = build_partition_matrix(demand, 5, F3, random.Random(42), draws)
     assert a.generator.rows == b.generator.rows
     assert a.demand_index == b.demand_index
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_kernel_solve_matches_support_search(q):
+    """The kernel solve returns exactly what the brute-force support search
+    returns, on every plain and aligned support, under both algorithms."""
+    field = PrimeField(q)
+    rng = random.Random(q)
+    for k, d in [(2, 1), (4, 2), (6, 3), (5, 2), (7, 2), (7, 3)]:
+        r, _, m = partition_shape(k, d)
+        if q < m:
+            continue
+        for algorithm in (None,) if r == 0 else (1, 2):
+            for _ in range(3):
+                demand = random_demand(field, k, d, rng)
+                enc = build_partition_matrix(
+                    demand, k, field, rng, IplcDraws(algorithm=algorithm)
+                )
+                assert enc.algorithm_used == algorithm
+                g = enc.generator
+                found = [row_space_vector_with_support(g, s) for s in enc.supports]
+                assert derive_combination_vectors(g, enc.supports) == (
+                    tuple(u for u, _ in found),
+                    tuple(c for _, c in found),
+                )
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("n", [2, 3])
+def test_run_iplc_verifies_at_large_q(q, n):
+    field = PrimeField(q)
+    rng = random.Random(n)
+    k, d = 5, 2
+    dataset = random_dataset(field, k, minimum_stream_length("iplc", n, k, d), rng)
+    demand = random_demand(field, k, d, rng)
+    run = run_iplc(n, dataset, demand, rng, verify=True)
+    assert tuple(run.recovered) == demand.evaluate(dataset).entries

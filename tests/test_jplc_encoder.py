@@ -4,14 +4,21 @@ from itertools import combinations
 import pytest
 
 from plclab.ffield import PrimeField
-from plclab.gflinalg import MatrixGF, VectorGF, rank, vec_mat
+from plclab.gflinalg import (
+    MatrixGF,
+    VectorGF,
+    rank,
+    row_space_vector_with_support,
+    vec_mat,
+)
 from plclab.jplc_encoder import (
     JplcDraws,
     build_grs_matrix,
     derive_combination_vectors,
     enumerate_supports,
 )
-from plclab.protocol_core import Demand
+from plclab.protocol_core import Demand, random_dataset, random_demand
+from plclab.protocols import minimum_stream_length, run_jplc
 
 F3 = PrimeField(3)
 
@@ -130,3 +137,34 @@ def test_derive_combination_vectors_requires_all_supports():
     g = MatrixGF([[1, 0, 0], [0, 1, 0]], F3)
     with pytest.raises(ValueError):
         derive_combination_vectors(g, tuple(combinations(range(1, 4), 2)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_kernel_solve_matches_support_search(q):
+    """The kernel solve returns exactly what the brute-force support search
+    returns, on every support of every generator drawn."""
+    field = PrimeField(q)
+    rng = random.Random(q)
+    for k in range(1, min(q, 5) + 1):
+        for d in range(1, k + 1):
+            for _ in range(3):
+                demand = random_demand(field, k, d, rng)
+                g = build_grs_matrix(2, demand, k, field, rng).generator
+                supports = enumerate_supports(k, d)
+                found = [row_space_vector_with_support(g, s) for s in supports]
+                assert derive_combination_vectors(g, supports) == (
+                    tuple(u for u, _ in found),
+                    tuple(c for _, c in found),
+                )
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("n", [2, 3])
+def test_run_jplc_verifies_at_large_q(q, n):
+    field = PrimeField(q)
+    rng = random.Random(n)
+    k, d = 3, 2
+    dataset = random_dataset(field, k, minimum_stream_length("jplc", n, k, d), rng)
+    demand = random_demand(field, k, d, rng)
+    run = run_jplc(n, dataset, demand, rng, verify=True)
+    assert tuple(run.recovered) == demand.evaluate(dataset).entries

@@ -15,6 +15,8 @@ from .ffield import FieldElement, PrimeField
 
 
 def _as_int(x, field: PrimeField) -> int:
+    if type(x) is int:
+        return x % field.q
     if isinstance(x, FieldElement):
         if x.field.q != field.q:
             raise ValueError("entry belongs to a different field")

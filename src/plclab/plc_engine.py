@@ -22,6 +22,11 @@ sent; the trim is what brings the download down to the capacity point. It
 follows Sun & Jafar, "The Capacity of Private Computation" (arXiv:1710.11098):
 with B the first rows of C that form a basis, a round's sum is kept exactly
 when its subset meets B, whatever the target.
+
+Everything but the user randomness (templates, trim, reconstruction tables)
+is a `QueryPlan`, built once per instance. The randomness is baked into the
+plan once per (instance, randomness) pair: `reconstruct` checks the
+descriptor against the serialisation `generate_queries` made, and reuses it.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from .ffield import PrimeField
@@ -83,6 +89,12 @@ class PlcInstance:
     @property
     def field(self) -> PrimeField:
         return self.combination_matrix.field
+
+    @cached_property
+    def plan(self) -> "QueryPlan":
+        """The query plan, built on first use and kept for the instance's
+        lifetime."""
+        return _build_plan(self)
 
 
 @dataclass(frozen=True)
@@ -153,15 +165,14 @@ AnswerSet = Tuple[Tuple[Tuple[int, ...], ...], ...]
 # Canonical structure: position tables and sum templates.
 
 class _SumTemplate:
-    __slots__ = ("server", "order", "rep", "subset", "coord", "terms")
+    __slots__ = ("server", "order", "subset", "index", "terms")
 
-    def __init__(self, server, order, rep, subset, coord, terms):
+    def __init__(self, server, order, subset, index, terms):
         self.server = server
         self.order = order
-        self.rep = rep
         self.subset = subset
-        self.coord = coord
-        self.terms = terms  # ((stream, engine_position, eps), ...) by stream
+        self.index = index  # position in the skeleton's list of sums
+        self.terms = terms  # ((stream, 0-based engine position, eps), ...) by stream
 
 
 def _other_servers(server: int, num_servers: int) -> List[int]:
@@ -180,11 +191,20 @@ def _sign_pattern(s: tuple, theta: int) -> Dict[int, int]:
 
 @lru_cache(maxsize=32)
 def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
-    """Position tables val[(rep, server, subset)] and every sum's template."""
+    """Every sum's template, and how reconstruction indexes and peels them.
+
+    Engine positions are 0-based here. first[(rep, server, subset)] is the
+    index of the subset's coordinate-0 sum; its other coordinates follow it.
+    peel holds, for each fresh position v of the target, (v, sum, source,
+    sign): the target's engine symbol at v is sign * (sum - source), where
+    source is the other server's previous-round sum over the same
+    interference, or -1 in round one, which has none.
+    """
     n, m = num_servers, num_streams
     streams = range(1, m + 1)
     val: Dict[tuple, Tuple[int, ...]] = {}
     sums: List[_SumTemplate] = []
+    first: Dict[tuple, int] = {}
     for rep in range(reps):
         counter = rep * n**m
         for ell in range(1, m + 1):
@@ -203,13 +223,14 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
                         val[(rep, server, u)] = tuple(inherited)
                     else:
                         val[(rep, server, u)] = tuple(
-                            range(counter + 1, counter + 1 + slot_count)
+                            range(counter, counter + slot_count)
                         )
                         counter += slot_count
             # One sum per server, ell-subset and coordinate.
             for server in range(1, n + 1):
                 for s in combinations(streams, ell):
                     eps_of = _sign_pattern(s, theta)
+                    first[(rep, server, s)] = len(sums)
                     for coord in range(slot_count):
                         terms = tuple(
                             (
@@ -219,8 +240,23 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
                             )
                             for x in s
                         )
-                        sums.append(_SumTemplate(server, ell, rep, s, coord, terms))
-    return val, sums
+                        sums.append(_SumTemplate(server, ell, s, len(sums), terms))
+    peel = []
+    for (rep, server, s), at in first.items():
+        if theta not in s:
+            continue
+        ell = len(s)
+        rest = tuple(x for x in s if x != theta)
+        sign = (-1) ** (ell - 1)
+        others = _other_servers(server, n)
+        sub_slot = (n - 1) ** (ell - 2) if ell >= 2 else 0
+        for coord, v in enumerate(val[(rep, server, rest)]):
+            src = -1
+            if ell >= 2:
+                src_server = others[coord // sub_slot]
+                src = first[(rep, src_server, rest)] + coord % sub_slot
+            peel.append((v, at + coord, src, sign))
+    return sums, first, tuple(peel)
 
 
 # ---------------------------------------------------------------------------
@@ -287,50 +323,89 @@ def _trim_tables(stack: MatrixGF, theta: int):
 
 
 # ---------------------------------------------------------------------------
-# Serialisation: bake the user randomness in and normalise.
+# The query plan: everything about the queries but the user randomness.
 
-def _sign_to_field(sign: int, q: int) -> int:
-    return 1 if sign == 1 else (q - 1) % q
+@dataclass(frozen=True, eq=False)
+class QueryPlan:
+    """The randomness-free part of one retrieval.
 
-
-def _bake(template: _SumTemplate, randomness: PlcRandomness, q: int):
-    """Serialise one sum; returns (wire_sum, lead_coeff_before_normalising)."""
-    baked = []
-    for stream, pos, eps in template.terms:
-        coeff = (_sign_to_field(randomness.signs[pos - 1], q) * (eps % q)) % q
-        baked.append((stream, randomness.position_map[pos - 1], coeff))
-    baked.sort()
-    lead = baked[0][2]
-    if lead != 1:
-        inv = pow(lead, q - 2, q)
-        baked = [(st, p, (cf * inv) % q) for st, p, cf in baked]
-    return tuple(baked), lead
-
-
-def _annotated_blocks(instance: PlcInstance, randomness: PlcRandomness):
-    """Kept sums, serialised and canonically ordered, with their templates.
-
-    Returns the position tables, blocks[server-1][ell-1] = list of
-    (wire_sum, template, lead), and the trim's drop table.
+    kept[server-1][ell-1] holds the templates of the round's sums that
+    survive the trim, in skeleton order. drops is the trim's table expanding
+    every dropped sum through kept ones. first and peel come from the
+    skeleton (see `_build_skeleton`), and num_sums counts its sums, kept or
+    dropped. Callers only read it.
     """
-    n = instance.num_servers
-    m = instance.num_streams
-    q = instance.field.q
-    val, sums = _build_skeleton(n, m, instance.repetitions, instance.demand_index)
-    kept, drops = _trim_tables(
-        instance.combination_matrix, instance.demand_index
-    )
+
+    kept: Tuple[Tuple[Tuple[_SumTemplate, ...], ...], ...]
+    drops: Dict[int, Dict[tuple, Tuple[tuple, ...]]]
+    first: Dict[tuple, int]
+    peel: Tuple[Tuple[int, int, int, int], ...]
+    num_sums: int
+
+
+def _build_plan(instance: PlcInstance) -> QueryPlan:
+    n, m = instance.num_servers, instance.num_streams
+    theta = instance.demand_index
+    sums, first, peel = _build_skeleton(n, m, instance.repetitions, theta)
+    kept, drops = _trim_tables(instance.combination_matrix, theta)
     kept_sets = {ell: set(v) for ell, v in kept.items()}
     blocks = [[[] for _ in range(m)] for _ in range(n)]
     for tmpl in sums:
-        if tmpl.subset not in kept_sets[tmpl.order]:
-            continue
-        wire, lead = _bake(tmpl, randomness, q)
-        blocks[tmpl.server - 1][tmpl.order - 1].append((wire, tmpl, lead))
-    for server_blocks in blocks:
-        for block in server_blocks:
-            block.sort(key=lambda item: item[0])
-    return val, blocks, drops
+        if tmpl.subset in kept_sets[tmpl.order]:
+            blocks[tmpl.server - 1][tmpl.order - 1].append(tmpl)
+    kept_blocks = tuple(tuple(map(tuple, server)) for server in blocks)
+    return QueryPlan(kept_blocks, drops, first, peel, len(sums))
+
+
+# ---------------------------------------------------------------------------
+# Serialisation: bake the user randomness in and normalise.
+
+def _bake(terms, tau, signs, q: int):
+    """Serialise one sum's terms; returns (wire_sum, lead before scaling).
+
+    Every coefficient s_v * eps is +1 or -1, so scaling the lead to 1 keeps
+    the terms whose sign equals the lead's and negates the others. Terms are
+    already sorted, since each stream appears once, in ascending order.
+    """
+    lead = signs[terms[0][1]] * terms[0][2]
+    neg = q - 1
+    wire = []
+    for stream, pos, eps in terms:
+        wire.append((stream, tau[pos], 1 if signs[pos] * eps == lead else neg))
+    return tuple(wire), 1 if lead == 1 else neg
+
+
+@lru_cache(maxsize=1)
+def _serialise(instance: PlcInstance, randomness: PlcRandomness):
+    """The plan's kept sums with the randomness baked in, each block in
+    canonical order.
+
+    Returns per_server, the wire blocks of the descriptor, and notes, which
+    holds per block the (skeleton index, lead) of each sum in the same
+    order. One entry: `reconstruct` reuses the serialisation that
+    `generate_queries` just made for the same instance and randomness. The
+    cache hands the same blocks to every caller, so callers only read them.
+    """
+    if len(randomness.position_map) != instance.stream_length:
+        raise ValueError("randomness sized for a different stream length")
+    q = instance.field.q
+    tau, signs = randomness.position_map, randomness.signs
+    by_wire = itemgetter(0)
+    per_server, notes = [], []
+    for server_kept in instance.plan.kept:
+        wires, server_notes = [], []
+        for templates in server_kept:
+            baked = []
+            for tmpl in templates:
+                wire, lead = _bake(tmpl.terms, tau, signs, q)
+                baked.append((wire, (tmpl.index, lead)))
+            baked.sort(key=by_wire)
+            block_wires, block_notes = zip(*baked) if baked else ((), ())
+            wires.append(block_wires)
+            server_notes.append(block_notes)
+        per_server.append(tuple(wires))
+        notes.append(tuple(server_notes))
+    return tuple(per_server), tuple(notes)
 
 
 def generate_queries(
@@ -338,13 +413,7 @@ def generate_queries(
 ) -> QueryDescriptor:
     """Serialise the per-server queries; all randomisation lives in
     `randomness`."""
-    if len(randomness.position_map) != instance.stream_length:
-        raise ValueError("randomness sized for a different stream length")
-    _, blocks, _ = _annotated_blocks(instance, randomness)
-    per_server = tuple(
-        tuple(tuple(wire for wire, _, _ in block) for block in server_blocks)
-        for server_blocks in blocks
-    )
+    per_server, _ = _serialise(instance, randomness)
     return QueryDescriptor(
         num_servers=instance.num_servers,
         num_streams=instance.num_streams,
@@ -352,30 +421,6 @@ def generate_queries(
         field_order=instance.field.q,
         per_server=per_server,
     )
-
-
-def relabel_streams(
-    streams: Sequence[Sequence[int]],
-    randomness: PlcRandomness,
-    field: PrimeField,
-) -> List[List[int]]:
-    """Apply the engine's position/sign layer to actual streams.
-
-    Returns streams in engine position space: out[k][v-1] is
-    s_v * stream_k[tau(v)].
-    """
-    q = field.q
-    tau = randomness.position_map
-    signs = randomness.signs
-    out = []
-    for row in streams:
-        out.append(
-            [
-                (_sign_to_field(signs[v], q) * row[tau[v] - 1]) % q
-                for v in range(len(tau))
-            ]
-        )
-    return out
 
 
 def answer_queries(
@@ -429,79 +474,51 @@ def reconstruct(
 ) -> List[int]:
     """Recover the k*-stream (in served position space) from the answers.
 
-    The descriptor is re-derived from instance and randomness and must match;
-    a mismatch means the transcript was tampered with or the inputs are
-    inconsistent.
+    The descriptor must match the serialisation of instance and randomness,
+    taken from the cache that `generate_queries` filled for the same pair
+    (or made afresh); a mismatch means the transcript was tampered with or
+    the inputs are inconsistent.
     """
-    field = instance.field
-    q = field.q
-    val, blocks, drops = _annotated_blocks(instance, randomness)
-    rebuilt = tuple(
-        tuple(tuple(wire for wire, _, _ in block) for block in server_blocks)
-        for server_blocks in blocks
-    )
-    if rebuilt != descriptor.per_server:
+    q = instance.field.q
+    per_server, notes = _serialise(instance, randomness)
+    if per_server != descriptor.per_server:
         raise ValueError("descriptor does not match instance and randomness")
+    plan = instance.plan
+    if len(plan.peel) != instance.stream_length:
+        raise ValueError("target coverage incomplete")
 
-    # Un-normalised sum values in engine pattern space, for kept sums.
-    values: Dict[tuple, int] = {}
-    for server_idx, server_blocks in enumerate(blocks):
-        for ell_idx, block in enumerate(server_blocks):
+    # Un-normalised sum values in engine pattern space, by skeleton index.
+    values = [0] * plan.num_sums
+    for server_idx, server_notes in enumerate(notes):
+        for ell_idx, block in enumerate(server_notes):
             got = answers[server_idx][ell_idx]
             if len(got) != len(block):
                 raise ValueError("answer shape differs from descriptor")
-            for (_, tmpl, lead), ans in zip(block, got):
-                key = (tmpl.server, tmpl.rep, tmpl.subset, tmpl.coord)
-                values[key] = (lead * ans) % q
+            for (at, lead), ans in zip(block, got):
+                values[at] = (lead * ans) % q
 
     # Expand the trimmed sums from the kept ones.
     n = instance.num_servers
-    m = instance.num_streams
-    for ell in range(1, m + 1):
-        drops_ell = drops[ell]
-        if not drops_ell:
-            continue
+    first = plan.first
+    for ell, drops_ell in plan.drops.items():
         slot_count = (n - 1) ** (ell - 1)
         for rep in range(instance.repetitions):
             for server in range(1, n + 1):
-                for coord in range(slot_count):
-                    for s, combo in drops_ell.items():
-                        acc = 0
-                        for t, lam in combo:
-                            acc += lam * values[(server, rep, t, coord)]
-                        values[(server, rep, s, coord)] = acc % q
-
-    # Peel the target's fresh symbols round by round.
-    theta = instance.demand_index
-    r_sign = {ell: _sign_to_field((-1) ** (ell - 1), q) for ell in range(1, m + 1)}
-    theta_engine: Dict[int, int] = {}
-    for ell in range(1, m + 1):
-        slot_count = (n - 1) ** (ell - 1)
-        for s in combinations(range(1, m + 1), ell):
-            if theta not in s:
-                continue
-            rest = tuple(x for x in s if x != theta)
-            for rep in range(instance.repetitions):
-                for server in range(1, n + 1):
-                    fresh = val[(rep, server, rest)]
-                    others = _other_servers(server, n)
-                    sub_slot = (n - 1) ** (ell - 2) if ell >= 2 else 0
+                for s, combo in drops_ell.items():
+                    at = first[(rep, server, s)]
+                    terms = [(first[(rep, server, t)], lam) for t, lam in combo]
                     for coord in range(slot_count):
-                        total = values[(server, rep, s, coord)]
-                        if ell >= 2:
-                            src_server = others[coord // sub_slot]
-                            src_coord = coord % sub_slot
-                            total = (
-                                total - values[(src_server, rep, rest, src_coord)]
-                            ) % q
-                        theta_engine[fresh[coord]] = (r_sign[ell] * total) % q
+                        acc = 0
+                        for t, lam in terms:
+                            acc += lam * values[t + coord]
+                        values[at + coord] = acc % q
 
-    if len(theta_engine) != instance.stream_length:
-        raise ValueError("target coverage incomplete")
+    # Peel the target's fresh symbols and undo the randomness.
+    tau, signs = randomness.position_map, randomness.signs
     out = [0] * instance.stream_length
-    for v, baked in theta_engine.items():
-        pos = randomness.position_map[v - 1]
-        out[pos - 1] = (_sign_to_field(randomness.signs[v - 1], q) * baked) % q
+    for v, at, src, sign in plan.peel:
+        total = values[at] - values[src] if src >= 0 else values[at]
+        out[tau[v] - 1] = (sign * signs[v] * total) % q
     return out
 
 

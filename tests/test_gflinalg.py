@@ -106,3 +106,14 @@ def _all_supports(k, d):
     from itertools import combinations
 
     return combinations(range(1, k + 1), d)
+
+
+def test_entries_accept_ints_and_own_field_elements_only():
+    assert VectorGF([4, -1, F5(3)], F5).entries == (4, 4, 3)
+    assert MatrixGF([[7, F3(2)]], F3).rows == ((1, 2),)
+    with pytest.raises(TypeError):
+        VectorGF([True, 1], F3)
+    with pytest.raises(TypeError):
+        MatrixGF([[1, 2.0]], F3)
+    with pytest.raises(ValueError):
+        VectorGF([F5(1)], F3)

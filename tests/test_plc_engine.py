@@ -12,6 +12,7 @@ from plclab.gflinalg import MatrixGF, rank
 from plclab.plc_engine import (
     PlcInstance,
     PlcRandomness,
+    _serialise,
     _sign_pattern,
     _trim_tables,
     answer_queries,
@@ -226,6 +227,64 @@ def test_descriptor_mismatch_rejected():
         reconstruct(desc, answers, inst, r2)
 
 
+def _with_block(desc, server, ell, block):
+    blocks = list(desc.per_server[server - 1])
+    blocks[ell - 1] = tuple(block)
+    servers = list(desc.per_server)
+    servers[server - 1] = tuple(blocks)
+    return dataclasses.replace(desc, per_server=tuple(servers))
+
+
+def _change_term(desc, server, ell, index, term_index, change):
+    block = list(desc.per_server[server - 1][ell - 1])
+    terms = list(block[index])
+    terms[term_index] = change(*terms[term_index])
+    block[index] = tuple(terms)
+    return _with_block(desc, server, ell, block)
+
+
+def _swap_sums(desc, server, ell):
+    block = list(desc.per_server[server - 1][ell - 1])
+    block[0], block[1] = block[1], block[0]
+    return _with_block(desc, server, ell, block)
+
+
+TAMPERS = {
+    "coefficient": lambda desc, other: _change_term(
+        desc, 1, 2, 0, 1, lambda k, p, c: (k, p, 3 - c)
+    ),
+    "position": lambda desc, other: _change_term(
+        desc, 2, 3, 1, 2, lambda k, p, c: (k, p % 16 + 1, c)
+    ),
+    "swapped": lambda desc, other: _swap_sums(desc, 1, 2),
+    "missing": lambda desc, other: _with_block(
+        desc, 2, 2, desc.per_server[1][1][:-1]
+    ),
+    "other-randomness": lambda desc, other: other,
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_reconstruct_rejects_tampered_descriptor(tamper):
+    """The check against the serialisation that generate_queries cached
+    catches every altered descriptor, without baking anew."""
+    rng = random.Random(37)
+    inst = PlcInstance(2, MatrixGF(STACK_B, F3), 4, 16)
+    underlying = [[rng.randrange(3) for _ in range(16)] for _ in range(3)]
+    streams = _stacked_streams(STACK_B, underlying, 3)
+    other = generate_queries(inst, random_plc_randomness(16, rng))
+    randomness = random_plc_randomness(16, rng)
+    desc = generate_queries(inst, randomness)
+    answers = answer_queries(desc, streams)
+    bad = TAMPERS[tamper](desc, other)
+    assert bad.per_server != desc.per_server
+    hits = _serialise.cache_info().hits
+    with pytest.raises(ValueError, match="does not match"):
+        reconstruct(bad, answers, inst, randomness)
+    assert _serialise.cache_info().hits == hits + 1
+    assert reconstruct(desc, answers, inst, randomness) == streams[3]
+
+
 @pytest.mark.parametrize(
     "bad_sum",
     [
@@ -391,13 +450,17 @@ def test_trim_drops_are_exact_identities(case):
             assert expanded == _sum_row(stack, s, theta)
 
 
-def test_run_trims_once():
+def test_run_plans_once():
+    """A run trims once, while building its plan, and serialises once: a
+    miss in generate_queries and a hit in reconstruct."""
     rng = random.Random(5)
     ds = random_dataset(F3, 3, 8, rng)
     _trim_tables.cache_clear()
+    _serialise.cache_clear()
     run_jplc(2, ds, random_demand(F3, 3, 2, rng), rng, verify=True)
-    info = _trim_tables.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    trims, bakes = _trim_tables.cache_info(), _serialise.cache_info()
+    assert (trims.misses, trims.hits) == (1, 0)
+    assert (bakes.misses, bakes.hits) == (1, 1)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)

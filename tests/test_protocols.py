@@ -1,15 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plclab.ffield import PrimeField
 from plclab.gflinalg import MatrixGF, VectorGF
+from plclab.iplc_encoder import partition_shape
+from plclab.plc_engine import expected_download
 from plclab.protocol_core import (
     Dataset,
     Demand,
     iplc_capacity,
     jplc_capacity,
     random_dataset,
+    random_demand,
 )
 from plclab.protocols import (
     InvariantViolation,
@@ -111,3 +116,42 @@ def test_jplc_many_seeds_verify(seed):
     demand = Demand((1, 4), VectorGF([3, 2], field))
     result = run_jplc(2, ds, demand, rng, verify=True)
     assert result.report.rate == jplc_capacity(2, 4, 2)
+
+
+def _encoder_accepts(protocol, k, d, q):
+    """jplc needs q >= K evaluation points; iplc needs a partition shape and,
+    when D does not divide K, q >= m mixing points."""
+    if protocol == "jplc":
+        return q >= k
+    try:
+        _, _, m = partition_shape(k, d)
+    except ValueError:
+        return False
+    return q >= m
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(("jplc", "iplc")),
+    st.sampled_from((2, 3, 5, 7, 2**61 - 1)),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_whole_runs_recover_at_capacity(protocol, q, n, data):
+    """Whole verified runs over small shapes download exactly the closed form
+    and reach capacity."""
+    k = data.draw(st.integers(1, 5))
+    d = data.draw(st.integers(1, k))
+    assume(_encoder_accepts(protocol, k, d, q))
+    t_len = minimum_stream_length(protocol, n, k, d)
+    assume(t_len <= 256)
+    t_len *= data.draw(st.integers(1, 2))
+    field = PrimeField(q)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    dataset = random_dataset(field, k, t_len, rng)
+    demand = random_demand(field, k, d, rng)
+    runner = run_jplc if protocol == "jplc" else run_iplc
+    run = runner(n, dataset, demand, rng, verify=True)
+    assert tuple(run.recovered) == demand.evaluate(dataset).entries
+    assert run.report.downloaded_symbols == expected_download(run.instance)
+    assert run.report.achieves_capacity

@@ -32,6 +32,7 @@ descriptor against the serialisation `generate_queries` made, and reuses it.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -195,10 +196,11 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
 
     Engine positions are 0-based here. first[(rep, server, subset)] is the
     index of the subset's coordinate-0 sum; its other coordinates follow it.
-    peel holds, for each fresh position v of the target, (v, sum, source,
-    sign): the target's engine symbol at v is sign * (sum - source), where
-    source is the other server's previous-round sum over the same
-    interference, or -1 in round one, which has none.
+    peel holds four columns with one entry per fresh position v of the
+    target, (v, sum, source, sign): the target's engine symbol at v is
+    sign * (sum - source), where source is the other server's previous-round
+    sum over the same interference, or -1 in round one, which has none. The
+    columns are int arrays, a quarter of the memory of a tuple per entry.
     """
     n, m = num_servers, num_streams
     streams = range(1, m + 1)
@@ -241,7 +243,7 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
                             for x in s
                         )
                         sums.append(_SumTemplate(server, ell, s, len(sums), terms))
-    peel = []
+    peel = tuple(array("q") for _ in range(4))
     for (rep, server, s), at in first.items():
         if theta not in s:
             continue
@@ -255,8 +257,9 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
             if ell >= 2:
                 src_server = others[coord // sub_slot]
                 src = first[(rep, src_server, rest)] + coord % sub_slot
-            peel.append((v, at + coord, src, sign))
-    return sums, first, tuple(peel)
+            for column, value in zip(peel, (v, at + coord, src, sign)):
+                column.append(value)
+    return sums, first, peel
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +342,7 @@ class QueryPlan:
     kept: Tuple[Tuple[Tuple[_SumTemplate, ...], ...], ...]
     drops: Dict[int, Dict[tuple, Tuple[tuple, ...]]]
     first: Dict[tuple, int]
-    peel: Tuple[Tuple[int, int, int, int], ...]
+    peel: Tuple[array, array, array, array]
     num_sums: int
 
 
@@ -484,7 +487,7 @@ def reconstruct(
     if per_server != descriptor.per_server:
         raise ValueError("descriptor does not match instance and randomness")
     plan = instance.plan
-    if len(plan.peel) != instance.stream_length:
+    if len(plan.peel[0]) != instance.stream_length:
         raise ValueError("target coverage incomplete")
 
     # Un-normalised sum values in engine pattern space, by skeleton index.
@@ -516,7 +519,7 @@ def reconstruct(
     # Peel the target's fresh symbols and undo the randomness.
     tau, signs = randomness.position_map, randomness.signs
     out = [0] * instance.stream_length
-    for v, at, src, sign in plan.peel:
+    for v, at, src, sign in zip(*plan.peel):
         total = values[at] - values[src] if src >= 0 else values[at]
         out[tau[v] - 1] = (sign * signs[v] * total) % q
     return out

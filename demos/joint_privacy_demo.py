@@ -48,9 +48,8 @@ def main():
           f"{len(enc.supports)}; a fresh run lands it elsewhere")
 
     print("\nper-server query shapes (sums per round):")
-    for n in range(1, args.servers + 1):
-        sizes = [len(b) for b in run.descriptor.server_view(n)]
-        print(f"  server {n}: {sizes}")
+    for n, blocks in enumerate(run.descriptor.per_server, 1):
+        print(f"  server {n}: {[len(b) for b in blocks]}")
 
     rep = run.report
     print(f"\ndownloaded {rep.downloaded_symbols} symbols for 8 recovered")

@@ -16,7 +16,7 @@ from .audit import (
     audit_reduction_marginal,
     certify_engine_privacy,
 )
-from .ffield import FieldElement, FieldMismatchError, PrimeField, is_prime
+from .ffield import PrimeField, is_prime
 from .gflinalg import (
     MatrixGF,
     VectorGF,
@@ -85,8 +85,6 @@ __all__ = [
     "AuditReport",
     "Dataset",
     "Demand",
-    "FieldElement",
-    "FieldMismatchError",
     "InvariantViolation",
     "IplcDraws",
     "IplcEncoderOutput",

@@ -117,16 +117,12 @@ def enumerate_iplc_paths(
     field: PrimeField,
 ) -> Iterable[Tuple[Fraction, Demand, object]]:
     k, d, q = num_streams, len(support), field.q
-    r, n, m = partition_shape(k, d)
+    _, n, m = partition_shape(k, d)
     v_weight = Fraction(1, (q - 1) ** d)
-    if r == 0:
-        branches = [(None, Fraction(1), n)]
-    else:
-        p1, p2 = algorithm_probabilities(k, d)
-        branches = []
-        if p1 > 0:
-            branches.append((1, p1, n))
-        branches.append((2, p2, m))
+    # Planting route, its probability and its block count; a route with no
+    # blocks (algorithm 2 when D | K, algorithm 1 when n = 0) yields no path.
+    p1, p2 = algorithm_probabilities(k, d)
+    branches = [(1, p1, n), (2, p2, m)]
     for v_vals in product(range(1, q), repeat=d):
         demand = Demand(support, VectorGF(v_vals, field))
         for alg, p_alg, block_count in branches:
@@ -228,6 +224,16 @@ def _paths(
         yield 1, label, _encoder(
             protocol, num_servers, demand, num_streams, field, rng
         )
+
+
+def _checked(labelled, num_streams, mode, samples):
+    """labelled, once there is something to audit: K >= 1, a nonempty label
+    set and, in sampled mode, at least one sample."""
+    if num_streams < 1 or not labelled:
+        raise ValueError(f"no demand to audit at K = {num_streams}: the label set is empty")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs at least one sample, got {samples}")
+    return labelled
 
 
 def _with_queries(paths, mode, num_servers, stream_length, rng):
@@ -447,6 +453,8 @@ def audit_recoverability(
 ) -> AuditReport:
     """Run full random transcripts and compare against direct evaluation."""
     run = {"jplc": run_jplc, "iplc": run_iplc}[protocol]
+    if trials < 1:
+        raise ValueError(f"recoverability needs at least one trial, got {trials}")
     t_len = repetitions * minimum_stream_length(
         protocol, num_servers, num_streams, demand_size
     )
@@ -509,9 +517,9 @@ def audit_joint_privacy(
     supports = list(combinations(range(1, num_streams + 1), demand_size))
     if layer not in ("encoder", "full"):
         raise ValueError("layer must be 'encoder' or 'full'")
+    labelled = _checked([(s, s) for s in supports], num_streams, mode, samples)
     paths = _paths(
-        mode, "jplc", [(s, s) for s in supports], num_servers, num_streams,
-        field, rng, samples,
+        mode, "jplc", labelled, num_servers, num_streams, field, rng, samples
     )
     views = _published_view
     if layer == "full":
@@ -544,7 +552,9 @@ def audit_individual_privacy(
     """Does every stream index keep membership probability D / K given the
     encoder view, under the uniform demand prior?"""
     k, d = num_streams, demand_size
-    labelled = [(s, s) for s in combinations(range(1, k + 1), d)]
+    labelled = _checked(
+        [(s, s) for s in combinations(range(1, k + 1), d)], k, mode, samples
+    )
     target = Fraction(d, k)
     paths = _paths(
         mode, protocol, labelled, num_servers, k, field, rng, samples
@@ -576,14 +586,14 @@ def audit_reduction_marginal(
         raise ValueError("reduction must be 'pir-psi' or 'pir-si'")
     protocol = "jplc" if reduction == "pir-psi" else "iplc"
     k = num_streams
-    target = Fraction(1, k)
     # Uniform over (side set, target) pairs; the label is the target.
-    labelled = [
+    labelled = _checked([
         (i_star, tuple(sorted(side + (i_star,))))
         for side in combinations(range(1, k + 1), num_side)
         for i_star in range(1, k + 1)
         if i_star not in side
-    ]
+    ], k, mode, samples)
+    target = Fraction(1, k)
 
     def draw(r: random.Random):
         side = tuple(sorted(r.sample(range(1, k + 1), num_side)))

@@ -217,88 +217,49 @@ def _make_demand(args, field: PrimeField, k: int, rng: random.Random) -> Demand:
     return Demand(tuple(indices), VectorGF(coeff_vals, field))
 
 
-def _run_mode(args, mode: str) -> Tuple[int, dict]:
-    field = _require_prime(args.field)
-    rng = random.Random(args.seed)
-    runner = run_jplc if mode == "jplc" else run_iplc
-    protocol = mode
-    t_len = args.t_mult * minimum_stream_length(
-        protocol, args.servers, args.messages, _demand_size(args)
-    )
-    dataset = random_dataset(field, args.messages, t_len, rng)
-    demand = _make_demand(args, field, args.messages, rng)
-    run = runner(args.servers, dataset, demand, rng, verify=True)
-    expected = list(demand.evaluate(dataset).entries)
-    capacity = (
-        jplc_capacity(args.servers, args.messages, demand.size)
-        if mode == "jplc"
-        else iplc_capacity(args.servers, args.messages, demand.size)
-    )
-    report = {
-        "mode": mode,
-        "servers": args.servers,
-        "messages": args.messages,
-        "field": field.q,
-        "seed": args.seed,
-        "stream_length": t_len,
-        "support": list(demand.indices),
-        "coefficients": list(demand.coefficients.entries),
-        "downloaded_symbols": run.report.downloaded_symbols,
-        "rate": rational_json(run.report.rate),
-        "capacity": rational_json(capacity),
-        "achieves_capacity": run.report.rate == capacity,
-        "recovered": list(run.recovered),
-        "expected": expected,
-        "match": list(run.recovered) == expected,
-        "transcript": args.transcript,
-    }
-    if args.transcript:
-        write_transcript(
-            args.transcript, _transcript_payload(mode, args, dataset, run, {})
-        )
-    return EXIT_OK, report
-
-
-def _reduction_mode(args, mode: str) -> Tuple[int, dict]:
-    field = _require_prime(args.field)
-    rng = random.Random(args.seed)
-    solver = solve_pir_psi_via_jplc if mode == "pir-psi" else solve_pir_si_via_iplc
-    protocol = "jplc" if mode == "pir-psi" else "iplc"
+def _side_info(args) -> Tuple[Optional[Tuple[int, ...]], int]:
+    """The side set (None when drawn) and its size; given indices lie in [1, K]."""
     if args.side_info:
-        explicit_side = tuple(sorted(_parse_int_list(args.side_info, "--side-info")))
-        side_count = len(explicit_side)
+        side = tuple(sorted(_parse_int_list(args.side_info, "--side-info")))
+        count = len(side)
     elif args.side_count is not None:
-        explicit_side = None
-        side_count = args.side_count
+        side, count = None, args.side_count
     else:
         raise ValueError("either --side-info or --side-count is required")
-    demand_size = side_count + 1
+    for i in (side or ()) + (() if args.target is None else (args.target,)):
+        if not 1 <= i <= args.messages:
+            raise ValueError(f"--side-info and --target must lie in [1, {args.messages}]")
+    return side, count
+
+
+def _side_info_instance(args, side, count, dataset, rng) -> SideInfoInstance:
+    k, target = args.messages, args.target
+    if side is None and target is None:
+        return random_side_info_instance(dataset, count, rng)
+    if side is None:
+        rest = [i for i in range(1, k + 1) if i != target]
+        side = tuple(sorted(rng.sample(rest, count)))
+    elif target is None:
+        rest = [i for i in range(1, k + 1) if i not in side]
+        target = rest[rng.randrange(len(rest))]
+    values = tuple(dataset.stream(i).entries for i in side)
+    return SideInfoInstance(target, side, values)
+
+
+def _run_mode(args, mode: str) -> Tuple[int, dict]:
+    """A jplc or iplc run; pir-psi and pir-si run them on side information."""
+    field = _require_prime(args.field)
+    rng = random.Random(args.seed)
+    protocol = {"pir-psi": "jplc", "pir-si": "iplc"}.get(mode, mode)
+    if protocol != mode:
+        side, side_count = _side_info(args)
+        demand_size = side_count + 1
+    else:
+        demand_size = _demand_size(args)
     t_len = args.t_mult * minimum_stream_length(
         protocol, args.servers, args.messages, demand_size
     )
     dataset = random_dataset(field, args.messages, t_len, rng)
-    if explicit_side is not None:
-        if args.target is not None:
-            target = args.target
-        else:
-            rest = [i for i in range(1, args.messages + 1) if i not in explicit_side]
-            target = rest[rng.randrange(len(rest))]
-        values = tuple(dataset.stream(i).entries for i in explicit_side)
-        instance = SideInfoInstance(target, explicit_side, values)
-    elif args.target is None:
-        instance = random_side_info_instance(dataset, side_count, rng)
-    else:
-        rest = [i for i in range(1, args.messages + 1) if i != args.target]
-        side = tuple(sorted(rng.sample(rest, side_count)))
-        values = tuple(dataset.stream(i).entries for i in side)
-        instance = SideInfoInstance(args.target, side, values)
-    result = solver(args.servers, dataset, instance, rng)
-    expected = list(dataset.stream(instance.target_index).entries)
-    capacity = (
-        jplc_capacity(args.servers, args.messages, demand_size)
-        if mode == "pir-psi"
-        else iplc_capacity(args.servers, args.messages, demand_size)
-    )
     report = {
         "mode": mode,
         "servers": args.servers,
@@ -306,26 +267,46 @@ def _reduction_mode(args, mode: str) -> Tuple[int, dict]:
         "field": field.q,
         "seed": args.seed,
         "stream_length": t_len,
-        "target_index": instance.target_index,
-        "side_indices": list(instance.side_indices),
-        "downloaded_symbols": result.report.downloaded_symbols,
-        "rate": rational_json(result.report.rate),
-        "capacity": rational_json(capacity),
-        "achieves_capacity": result.report.rate == capacity,
-        "match": list(result.recovered) == expected,
         "transcript": args.transcript,
     }
-    if not report["match"]:
-        return EXIT_INVARIANT, report
-    if args.transcript:
+    extra = {}
+    if protocol != mode:
+        instance = _side_info_instance(args, side, side_count, dataset, rng)
+        solver = solve_pir_psi_via_jplc if mode == "pir-psi" else solve_pir_si_via_iplc
+        result = solver(args.servers, dataset, instance, rng)
+        run, recovered = result.run, list(result.recovered)
+        expected = list(dataset.stream(instance.target_index).entries)
         extra = {
-            "reduction": mode,
             "target_index": instance.target_index,
             "side_indices": list(instance.side_indices),
         }
+        report.update(extra)
+        extra["reduction"] = mode
+    else:
+        demand = _make_demand(args, field, args.messages, rng)
+        runner = run_jplc if mode == "jplc" else run_iplc
+        run = runner(args.servers, dataset, demand, rng, verify=True)
+        recovered = list(run.recovered)
+        expected = list(demand.evaluate(dataset).entries)
+        report.update(
+            support=list(demand.indices),
+            coefficients=list(demand.coefficients.entries),
+            recovered=recovered,
+            expected=expected,
+        )
+    report.update(
+        downloaded_symbols=run.report.downloaded_symbols,
+        rate=rational_json(run.report.rate),
+        capacity=rational_json(run.report.capacity),
+        achieves_capacity=run.report.achieves_capacity,
+        match=recovered == expected,
+    )
+    if not report["match"]:
+        return EXIT_INVARIANT, report
+    if args.transcript:
         write_transcript(
             args.transcript,
-            _transcript_payload(protocol, args, dataset, result.run, extra),
+            _transcript_payload(protocol, args, dataset, run, extra),
         )
     return EXIT_OK, report
 
@@ -597,10 +578,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.seed is None:
         args.seed = int(os.environ.get("PLCLAB_SEED", "0"))
     try:
-        if args.mode in ("jplc", "iplc"):
+        for flag in ("servers", "messages", "t_mult"):
+            if getattr(args, flag) < 1:
+                raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
+        if args.mode in ("jplc", "iplc", "pir-psi", "pir-si"):
             code, report = _run_mode(args, args.mode)
-        elif args.mode in ("pir-psi", "pir-si"):
-            code, report = _reduction_mode(args, args.mode)
         elif args.mode == "capacity-table":
             code, report = _capacity_mode(args)
         elif args.mode == "audit":

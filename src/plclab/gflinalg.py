@@ -1,9 +1,9 @@
 """Dense exact linear algebra over prime fields.
 
-Matrices and vectors store reduced integers rather than FieldElement objects,
-which keeps the elimination loops cheap. Indices exposed to callers follow the
-protocol convention: stream and column positions are 1-based, supports are
-sorted tuples of 1-based column indices.
+Matrices and vectors store reduced integers, which keeps the elimination
+loops cheap. Indices exposed to callers follow the protocol convention:
+stream and column positions are 1-based, supports are sorted tuples of
+1-based column indices.
 """
 
 from __future__ import annotations
@@ -11,19 +11,15 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .ffield import FieldElement, PrimeField
+from .ffield import PrimeField
 
 
 def _as_int(x, field: PrimeField) -> int:
     if type(x) is int:
         return x % field.q
-    if isinstance(x, FieldElement):
-        if x.field.q != field.q:
-            raise ValueError("entry belongs to a different field")
-        return x.value
     if isinstance(x, int) and not isinstance(x, bool):
         return x % field.q
-    raise TypeError(f"matrix entries must be ints or FieldElements, got {x!r}")
+    raise TypeError(f"matrix entries must be ints, got {x!r}")
 
 
 class VectorGF:
@@ -67,20 +63,6 @@ class VectorGF:
         q = self.field.q
         return VectorGF([(c * v) % q for v in self.entries], self.field)
 
-    def add(self, other: "VectorGF") -> "VectorGF":
-        if self.field != other.field or len(self) != len(other):
-            raise ValueError("vector shape or field mismatch")
-        q = self.field.q
-        return VectorGF(
-            [(a + b) % q for a, b in zip(self.entries, other.entries)],
-            self.field,
-        )
-
-    def dot(self, other: "VectorGF") -> int:
-        if self.field != other.field or len(self) != len(other):
-            raise ValueError("vector shape or field mismatch")
-        return sum(a * b for a, b in zip(self.entries, other.entries)) % self.field.q
-
 
 def support(v) -> Tuple[int, ...]:
     """1-based indices of the nonzero coordinates, ascending."""
@@ -122,6 +104,8 @@ class MatrixGF:
 
     def row(self, i: int) -> VectorGF:
         """Row i, 1-based."""
+        if not 1 <= i <= self.nrows:
+            raise IndexError(f"row {i} outside [1, {self.nrows}]")
         return VectorGF(self.rows[i - 1], self.field)
 
     def transpose(self) -> "MatrixGF":

@@ -99,13 +99,7 @@ def algorithm_probabilities(num_streams: int, demand_size: int) -> Tuple[Fractio
     return p1, p2
 
 
-def _template_supports_r0(k: int, d: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(
-        tuple(range((i - 1) * d + 1, i * d + 1)) for i in range(1, k // d + 1)
-    )
-
-
-def _template_supports_rdivd(
+def _template_supports(
     k: int, d: int, r: int, n: int, m: int
 ) -> Tuple[Tuple[int, ...], ...]:
     full = [tuple(range((i - 1) * d + 1, i * d + 1)) for i in range(1, n + 1)]
@@ -127,14 +121,9 @@ def free_alpha_positions(
     freely rather than derived from the demand, in draw order."""
     r, n, m = partition_shape(num_streams, demand_size)
     d = demand_size
-    if r == 0:
-        return tuple(
-            (i, j) for i in range(1, n + 1) if i != block_index
-            for j in range(1, d + 1)
-        )
     full = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
     segs = [(n + i, j) for i in range(1, m + 1) for j in range(1, r + 1)]
-    if algorithm == 1:
+    if r == 0 or algorithm == 1:
         return tuple([p for p in full if p[0] != block_index] + segs)
     if algorithm == 2:
         return tuple(full + [(n + block_index, j) for j in range(1, r + 1)])
@@ -214,83 +203,29 @@ def _sigma(d, rng, override):
     return tuple(perm)
 
 
-def build_partition_matrix_r0(
-    demand: Demand,
-    num_streams: int,
-    field: PrimeField,
-    rng: random.Random,
-    draws: Optional[IplcDraws] = None,
-) -> IplcEncoderOutput:
-    """D | K case: one block-diagonal row per group of D streams."""
-    k = num_streams
-    d = demand.size
-    r, blocks, _ = partition_shape(k, d)
-    if r != 0:
-        raise ValueError("use the aligned builder when K mod D is nonzero")
-    if demand.indices[-1] > k:
-        raise ValueError("demand index exceeds stream count")
-
+def _block_index(draws, count, rng):
     if draws is not None and draws.block_index is not None:
-        i_star = draws.block_index
-        if not 1 <= i_star <= blocks:
-            raise ValueError("block index out of range")
-    else:
-        i_star = rng.randrange(1, blocks + 1)
-    sigma = _sigma(d, rng, draws.sigma if draws else None)
-
-    free = free_alpha_positions(k, d, None, i_star)
-    alphas = _draw_free_alphas(field, rng, free, draws.free_alphas if draws else None)
-    for j in range(1, d + 1):
-        alphas[(i_star, j)] = demand.coefficients.entries[sigma[j - 1] - 1]
-
-    constrained = planted_slot_map(demand, k, sigma, None, i_star)
-    pi = _complete_pi(k, constrained, rng, draws.pi if draws else None)
-
-    rows = [[0] * k for _ in range(blocks)]
-    for i in range(1, blocks + 1):
-        for j in range(1, d + 1):
-            rows[i - 1][pi[(i - 1) * d + j - 1] - 1] = alphas[(i, j)]
-    g = MatrixGF(rows, field)
-    assert rank(g) == blocks
-
-    template = _template_supports_r0(k, d)
-    supports = tuple(
-        tuple(sorted(pi[c - 1] for c in s)) for s in template
-    )
-    u_list, c_list = derive_combination_vectors(g, supports)
-    out = IplcEncoderOutput(
-        generator=g,
-        supports=supports,
-        template_supports=template,
-        row_space_vectors=u_list,
-        combination_vectors=c_list,
-        demand_index=i_star,
-        pi=pi,
-        sigma=sigma,
-        algorithm_used=None,
-        block_index=i_star,
-        omegas=None,
-        alphas=alphas,
-        demand=demand,
-        field=field,
-    )
-    check_planted_demand(out)
-    return out
+        if not 1 <= draws.block_index <= count:
+            raise ValueError(f"block index must lie in [1, {count}]")
+        return draws.block_index
+    return rng.randrange(1, count + 1)
 
 
-def build_partition_matrix_rdivd(
+def build_partition_matrix(
     demand: Demand,
     num_streams: int,
     field: PrimeField,
     rng: random.Random,
     draws: Optional[IplcDraws] = None,
 ) -> IplcEncoderOutput:
-    """K mod D nonzero case: n plain rows plus two aligned rows."""
+    """n plain rows, plus two aligned rows when K mod D is nonzero.
+
+    When D divides K the code is block diagonal: n = K/D plain rows, no
+    aligned rows, and the demand is always planted in a plain row.
+    """
     k = num_streams
     d = demand.size
     r, n, m = partition_shape(k, d)
-    if r == 0:
-        raise ValueError("use the block-diagonal builder when D divides K")
     if demand.indices[-1] > k:
         raise ValueError("demand index exceeds stream count")
     if field.q < m:
@@ -298,9 +233,12 @@ def build_partition_matrix_rdivd(
             f"field order {field.q} is too small: the aligned rows need "
             f"{m} distinct mixing points"
         )
-    omegas = tuple(m - i for i in range(1, m + 1))  # omega_i = m - i
+    omegas = tuple(m - i for i in range(1, m + 1)) if r else None  # omega_i = m - i
 
-    if draws is not None and draws.algorithm is not None:
+    if r == 0:  # D | K draws its block before sigma; seeded runs rely on it
+        algorithm = None
+        block = _block_index(draws, n, rng)
+    elif draws is not None and draws.algorithm is not None:
         algorithm = draws.algorithm
         if algorithm not in (1, 2):
             raise ValueError("algorithm must be 1 or 2")
@@ -312,47 +250,27 @@ def build_partition_matrix_rdivd(
 
     sigma = _sigma(d, rng, draws.sigma if draws else None)
     v = demand.coefficients.entries
-
-    if algorithm == 1:
-        if draws is not None and draws.block_index is not None:
-            i_star = draws.block_index
-            if not 1 <= i_star <= n:
-                raise ValueError("plain-row index out of range")
-        else:
-            i_star = rng.randrange(1, n + 1)
-        free = free_alpha_positions(k, d, 1, i_star)
-        alphas = _draw_free_alphas(
-            field, rng, free, draws.free_alphas if draws else None
-        )
-        for j in range(1, d + 1):
-            alphas[(i_star, j)] = v[sigma[j - 1] - 1]
-        constrained = planted_slot_map(demand, k, sigma, 1, i_star)
-        demand_index = i_star
-    else:
-        if draws is not None and draws.block_index is not None:
-            i_sub = draws.block_index
-            if not 1 <= i_sub <= m:
-                raise ValueError("segment index out of range")
-        else:
-            i_sub = rng.randrange(1, m + 1)
-        free = free_alpha_positions(k, d, 2, i_sub)
-        alphas = _draw_free_alphas(
-            field, rng, free, draws.free_alphas if draws else None
-        )
+    if algorithm is not None:
+        block = _block_index(draws, n if algorithm == 1 else m, rng)
+    free = free_alpha_positions(k, d, algorithm, block)
+    alphas = _draw_free_alphas(field, rng, free, draws.free_alphas if draws else None)
+    if algorithm == 2:
         for i in range(1, m + 1):
-            if i == i_sub:
+            if i == block:
                 continue
-            gap_inv = field.inv((omegas[i_sub - 1] - omegas[i - 1]) % field.q)
+            gap_inv = field.inv((omegas[block - 1] - omegas[i - 1]) % field.q)
             for j in range(1, r + 1):
-                pos = (i - 1) * r + j if i < i_sub else (i - 2) * r + j
+                pos = (i - 1) * r + j if i < block else (i - 2) * r + j
                 alphas[(n + i, j)] = (v[sigma[pos - 1] - 1] * gap_inv) % field.q
-        constrained = planted_slot_map(demand, k, sigma, 2, i_sub)
-        i_star = i_sub
-        demand_index = n + (m - i_sub + 1)
-
+        demand_index = n + (m - block + 1)
+    else:
+        for j in range(1, d + 1):
+            alphas[(block, j)] = v[sigma[j - 1] - 1]
+        demand_index = block
+    constrained = planted_slot_map(demand, k, sigma, algorithm, block)
     pi = _complete_pi(k, constrained, rng, draws.pi if draws else None)
 
-    rows = [[0] * k for _ in range(n + 2)]
+    rows = [[0] * k for _ in range(n + (2 if r else 0))]
     for i in range(1, n + 1):
         for j in range(1, d + 1):
             rows[i - 1][pi[(i - 1) * d + j - 1] - 1] = alphas[(i, j)]
@@ -364,9 +282,9 @@ def build_partition_matrix_rdivd(
             rows[n][pi[slot - 1] - 1] = a
             rows[n + 1][pi[slot - 1] - 1] = (a * w_i) % field.q
     g = MatrixGF(rows, field)
-    assert rank(g) == n + 2
+    assert rank(g) == len(rows)
 
-    template = _template_supports_rdivd(k, d, r, n, m)
+    template = _template_supports(k, d, r, n, m)
     supports = tuple(tuple(sorted(pi[c - 1] for c in s)) for s in template)
     u_list, c_list = derive_combination_vectors(g, supports)
     out = IplcEncoderOutput(
@@ -379,7 +297,7 @@ def build_partition_matrix_rdivd(
         pi=pi,
         sigma=sigma,
         algorithm_used=algorithm,
-        block_index=i_star,
+        block_index=block,
         omegas=omegas,
         alphas=alphas,
         demand=demand,
@@ -387,18 +305,3 @@ def build_partition_matrix_rdivd(
     )
     check_planted_demand(out)
     return out
-
-
-def build_partition_matrix(
-    demand: Demand,
-    num_streams: int,
-    field: PrimeField,
-    rng: random.Random,
-    draws: Optional[IplcDraws] = None,
-) -> IplcEncoderOutput:
-    """Dispatch to the block-diagonal or aligned builder by K mod D."""
-    r, _, _ = partition_shape(num_streams, demand.size)
-    if r == 0:
-        return build_partition_matrix_r0(demand, num_streams, field, rng, draws)
-    return build_partition_matrix_rdivd(demand, num_streams, field, rng, draws)
-

@@ -145,17 +145,9 @@ class QueryDescriptor:
     field_order: int
     per_server: Tuple[Tuple[Tuple[tuple, ...], ...], ...]
 
-    def server_view(self, server: int) -> Tuple[Tuple[tuple, ...], ...]:
-        return self.per_server[server - 1]
-
     def total_sums(self) -> int:
         return sum(
             len(block) for server in self.per_server for block in server
-        )
-
-    def block_layout(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(
-            tuple(len(block) for block in server) for server in self.per_server
         )
 
 

@@ -134,10 +134,6 @@ class RateReport:
     capacity: Rational
 
     @property
-    def downloaded_bits(self) -> float:
-        return self.downloaded_symbols * math.log2(self.field_order)
-
-    @property
     def achieves_capacity(self) -> bool:
         return self.rate == self.capacity
 

@@ -77,13 +77,7 @@ def _run_engine(
     verify: bool,
 ) -> PlcRunResult:
     field = dataset.field
-    m = len(encoder.supports)
-    block = num_servers**m
     t_len = dataset.stream_length
-    if t_len % block != 0:
-        raise ValueError(
-            f"stream length {t_len} must be a multiple of N^M = {block}"
-        )
     stack = MatrixGF([cv.entries for cv in encoder.combination_vectors], field)
     instance = PlcInstance(
         num_servers=num_servers,
@@ -164,8 +158,8 @@ def family_size(protocol: str, num_streams: int, demand_size: int) -> int:
     if protocol == "iplc":
         from .iplc_encoder import partition_shape
 
-        r, n, m = partition_shape(num_streams, demand_size)
-        return n if r == 0 else n + m
+        _, n, m = partition_shape(num_streams, demand_size)
+        return n + m
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

@@ -106,6 +106,27 @@ def test_sampled_mode_requires_rng():
         audit_joint_privacy(2, 3, 2, F3, mode="sampled")
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_individual_privacy_rejects_demand_larger_than_k(mode):
+    with pytest.raises(ValueError, match="label set is empty"):
+        audit_individual_privacy(2, 2, 3, F3, rng=random.Random(1), mode=mode)
+
+
+@pytest.mark.parametrize(
+    "audit",
+    [
+        lambda n: audit_joint_privacy(2, 3, 2, F3, rng=random.Random(1), mode="sampled", samples=n),
+        lambda n: audit_individual_privacy(2, 4, 2, F3, rng=random.Random(1), mode="sampled", samples=n),
+        lambda n: audit_reduction_marginal("pir-si", 2, 4, 1, F3, rng=random.Random(1), mode="sampled", samples=n),
+    ],
+    ids=["joint", "individual", "reduction"],
+)
+@pytest.mark.parametrize("samples", [0, -2])
+def test_sampled_audits_reject_nonpositive_samples(audit, samples):
+    with pytest.raises(ValueError, match="at least one sample"):
+        audit(samples)
+
+
 # ---------------------------------------------------------------------------
 # Negative control: a view that shows the demanded support leaks the label,
 # so the engine must fail it in both modes and both kinds of statistic.
@@ -174,6 +195,12 @@ def test_recoverability_audit(protocol, k, d):
     )
     assert rep.passed
     assert rep.details["failures"] == 0
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_recoverability_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        audit_recoverability("jplc", 2, 3, 2, F3, random.Random(3), trials=trials)
 
 
 # ---------------------------------------------------------------------------

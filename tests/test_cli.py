@@ -1,7 +1,11 @@
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plclab.cli_harness import (
     EXIT_AUDIT_FAILURE,
@@ -12,6 +16,7 @@ from plclab.cli_harness import (
     read_transcript,
     write_transcript,
 )
+from plclab.ffield import is_prime
 
 
 def _run(capsys, argv):
@@ -130,6 +135,122 @@ def test_reduction_modes(capsys):
     report = json.loads(out)
     assert report["target_index"] == 4
     assert report["rate"] == {"num": 4, "den": 7}
+
+
+@pytest.mark.parametrize("mode", ["pir-psi", "pir-si"])
+def test_reduction_rejects_side_info_outside_one_to_k(mode, capsys):
+    code = main(["--mode", mode, "--messages", "3", "--side-info", "4"])
+    assert code == EXIT_USAGE
+    assert "must lie in [1, 3]" in capsys.readouterr().err
+
+
+def test_capacity_table_rejects_no_messages(capsys):
+    code = main(["--mode", "capacity-table", "--messages", "0"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# Argument fuzz: each argv below is invalid in exactly one named way, on
+# otherwise small valid shapes (default N=2, K=3, q=3).
+
+_RUNS = {
+    "jplc": ["--mode=jplc", "--demand-size=2"],
+    "iplc": ["--mode=iplc", "--demand-size=2"],
+    "pir-psi": ["--mode=pir-psi", "--side-count=1"],
+    "pir-si": ["--mode=pir-si", "--side-count=1"],
+}
+_AUDITS = [
+    ["--mode=audit", "--audit-kind=joint", "--demand-size=2"],
+    ["--mode=audit", "--audit-kind=joint", "--demand-size=2", "--audit-sampling=sampled"],
+    ["--mode=audit", "--audit-kind=recoverability", "--demand-size=2", "--trials=2"],
+]
+
+
+@st.composite
+def _bad_count(draw):
+    value = draw(st.integers(-3, 0))
+    run = draw(st.sampled_from(sorted(_RUNS)))
+    return draw(st.sampled_from([
+        _RUNS[run] + [f"--servers={value}"],
+        _RUNS[run] + [f"--messages={value}"],
+        _RUNS[run] + [f"--t-mult={value}"],
+        _RUNS["jplc"] + [f"--demand-size={value}"],
+        _RUNS["iplc"] + [f"--demand-size={value}"],
+        _RUNS["pir-psi"] + [f"--side-count={value - 1}"],
+        _RUNS["pir-si"] + [f"--side-count={value - 1}"],
+        ["--mode=capacity-table", f"--messages={value}"],
+        ["--mode=capacity-table", f"--servers={value}"],
+        _AUDITS[0][:-1] + [f"--demand-size={value}"],
+        _AUDITS[1] + [f"--samples={value}"],
+        _AUDITS[2][:-1] + [f"--trials={value}"],
+    ]))
+
+
+@st.composite
+def _bad_field(draw):
+    q = draw(st.one_of(
+        st.integers(-10, 40).filter(lambda q: not is_prime(q)),
+        st.sampled_from([2**64 - 59, 2**89 - 1, 2**127 - 1]),
+    ))
+    base = draw(st.sampled_from(list(_RUNS.values()) + _AUDITS))
+    return base + [f"--field={q}"]
+
+
+@st.composite
+def _bad_demand(draw):
+    k = draw(st.integers(2, 4))
+    w = draw(st.lists(st.integers(1, k), min_size=1, max_size=k, unique=True))
+    mode = draw(st.sampled_from(["jplc", "iplc"]))
+    args = [f"--mode={mode}", f"--messages={k}", "--field=5"]
+    fault = draw(st.sampled_from(["range", "repeat", "coeffs"]))
+    if fault == "coeffs":
+        n = draw(st.integers(1, k + 1).filter(lambda n: n != len(w)))
+        return args + [f"--support={_csv(w)}", f"--coeffs={_csv([1] * n)}"]
+    if fault == "range":
+        w.append(draw(st.sampled_from([0, -1, k + 1, k + 2])))
+    else:
+        w.append(draw(st.sampled_from(w)))
+    return args + [f"--support={_csv(draw(st.permutations(w)))}"]
+
+
+@st.composite
+def _small_field_jplc(draw):
+    k = draw(st.integers(3, 6))
+    q = draw(st.sampled_from([q for q in (2, 3, 5) if q < k]))
+    if draw(st.booleans()):
+        return ["--mode=jplc", f"--messages={k}", f"--field={q}", "--demand-size=1"]
+    return ["--mode=pir-psi", f"--messages={k}", f"--field={q}", "--side-count=0"]
+
+
+@st.composite
+def _bad_side_info(draw):
+    k = draw(st.integers(2, 4))
+    args = [f"--mode={draw(st.sampled_from(['pir-psi', 'pir-si']))}",
+            f"--messages={k}", "--field=5"]
+    bad = draw(st.sampled_from([0, -1, k + 1, k + 2]))
+    fault = draw(st.sampled_from(["side", "target", "repeat"]))
+    if fault == "side":
+        return args + [f"--side-info={bad}"]
+    if fault == "target":
+        return args + ["--side-info=1", f"--target={bad}"]
+    return args + ["--side-info=1,1"]
+
+
+def _csv(values):
+    return ",".join(str(v) for v in values)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.one_of(
+    _bad_count(), _bad_field(), _bad_demand(), _small_field_jplc(), _bad_side_info()
+))
+def test_bad_arguments_exit_1_with_an_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--seed=1"])
+    assert code == EXIT_USAGE, (argv, out.getvalue())
+    assert any(line.startswith("error:") for line in err.getvalue().splitlines())
 
 
 def test_audit_mode_exhaustive(capsys):

@@ -87,7 +87,7 @@ def test_generator_has_full_rank_and_planted_demand():
                 u_star = enc.row_space_vectors[enc.demand_index - 1]
                 v1_inv = field.inv(v.entries[0])
                 expect = {
-                    i: field.mul(v1_inv, c) for i, c in zip(w, v.entries)
+                    i: v1_inv * c % field.q for i, c in zip(w, v.entries)
                 }
                 for col in range(1, k + 1):
                     got = u_star.entries[col - 1]

@@ -226,9 +226,11 @@ def _paths(
         )
 
 
-def _checked(labelled, num_streams, mode, samples):
-    """labelled, once there is something to audit: K >= 1, a nonempty label
-    set and, in sampled mode, at least one sample."""
+def _checked(labelled, num_servers, num_streams, mode, samples):
+    """labelled, once there is something to audit: N >= 1, K >= 1, a
+    nonempty label set and, in sampled mode, at least one sample."""
+    if num_servers < 1:
+        raise ValueError("need at least one server")
     if num_streams < 1 or not labelled:
         raise ValueError(f"no demand to audit at K = {num_streams}: the label set is empty")
     if mode == "sampled" and samples < 1:
@@ -517,7 +519,9 @@ def audit_joint_privacy(
     supports = list(combinations(range(1, num_streams + 1), demand_size))
     if layer not in ("encoder", "full"):
         raise ValueError("layer must be 'encoder' or 'full'")
-    labelled = _checked([(s, s) for s in supports], num_streams, mode, samples)
+    labelled = _checked(
+        [(s, s) for s in supports], num_servers, num_streams, mode, samples
+    )
     paths = _paths(
         mode, "jplc", labelled, num_servers, num_streams, field, rng, samples
     )
@@ -553,7 +557,8 @@ def audit_individual_privacy(
     encoder view, under the uniform demand prior?"""
     k, d = num_streams, demand_size
     labelled = _checked(
-        [(s, s) for s in combinations(range(1, k + 1), d)], k, mode, samples
+        [(s, s) for s in combinations(range(1, k + 1), d)],
+        num_servers, k, mode, samples,
     )
     target = Fraction(d, k)
     paths = _paths(
@@ -592,7 +597,7 @@ def audit_reduction_marginal(
         for side in combinations(range(1, k + 1), num_side)
         for i_star in range(1, k + 1)
         if i_star not in side
-    ], k, mode, samples)
+    ], num_servers, k, mode, samples)
     target = Fraction(1, k)
 
     def draw(r: random.Random):

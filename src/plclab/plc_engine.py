@@ -21,7 +21,9 @@ sums (given the public stack C) are trimmed client-side before the query is
 sent; the trim is what brings the download down to the capacity point. It
 follows Sun & Jafar, "The Capacity of Private Computation" (arXiv:1710.11098):
 with B the first rows of C that form a basis, a round's sum is kept exactly
-when its subset meets B, whatever the target.
+when its subset meets B, whatever the target. The trim is computed once per
+row-normalised stack and carried over to each stack and target: the target
+enters only through signs and the row scales through one factor per subset.
 
 Everything but the user randomness (templates, trim, reconstruction tables)
 is a `QueryPlan`, built once per instance. The randomness is baked into the
@@ -257,10 +259,9 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
 # ---------------------------------------------------------------------------
 # Trimming: which sums are linear consequences of the others.
 
-@lru_cache(maxsize=32)
-def _trim_tables(stack: MatrixGF, theta: int):
-    """Per round: kept subsets, and for each dropped subset the coefficients
-    expressing its sum through kept sums at the same server and coordinate.
+def _wedge(stack: MatrixGF, theta: int):
+    """The trim for target theta, with subsets as bitmasks (bit x-1 for
+    stream x).
 
     The closed form of Sun & Jafar, "The Capacity of Private Computation"
     (arXiv:1710.11098): let B be the first rows of C that form a basis. A
@@ -269,52 +270,165 @@ def _trim_tables(stack: MatrixGF, theta: int):
     of (e_x - sum_b beta_xb e_b) over x in s, with theta ordered last as in
     `_sign_pattern`, lies in the kernel of the round's sum map. Its e_s
     coefficient is 1 and every other term meets B, so it expands the dropped
-    sum through kept ones. The pattern does not involve positions, so one
-    table per round covers every server, repetition and coordinate. The
-    cache hands the same tables to every caller, so callers only read them.
+    sum through kept ones.
+
+    Returns (basis, drops): basis is B's bitmask, and drops lists, round by
+    round, each dropped subset s with the (t, coefficient) pairs expressing
+    its sum through the kept sums t, in no particular order.
     """
-    q = stack.field.q
-    m = stack.nrows
+    q, m = stack.field.q, stack.nrows
     rref, pivots = _rref(stack.transpose().rows, q)
-    basis = {p + 1 for p in pivots}
-    # Relabel streams by rank with theta last, so the wedge order is numeric.
-    order = sorted(range(1, m + 1), key=lambda x: (x == theta, x))
-    rank_of = {x: r for r, x in enumerate(order, 1)}
-    # vec[r] = e_x - sum_b beta_xb e_b for the stream x of rank r outside B.
-    vec = {
-        rank_of[x]: [(rank_of[x], 1)]
-        + [(rank_of[p + 1], -row[x - 1]) for row, p in zip(rref, pivots) if row[x - 1]]
-        for x in order
-        if x not in basis
-    }
-    kept: Dict[int, List[tuple]] = {}
-    drops: Dict[int, Dict[tuple, Tuple[tuple, ...]]] = {}
-    wedges: Dict[tuple, Dict[tuple, int]] = {(): {(): 1}}
-    for ell in range(1, m + 1):
-        kept[ell] = [
-            s for s in combinations(range(1, m + 1), ell) if not basis.isdisjoint(s)
-        ]
-        drops[ell] = {}
+    basis = sum(1 << p for p in pivots)
+    # Bit r of a rank mask stands for the stream of rank r + 1, theta last, so
+    # the wedge order is numeric: ranks below theta keep their stream, the
+    # ranks from theta to m - 1 stand for the next stream, and rank m is theta.
+    label = [x for x in range(1, m + 1) if x != theta] + [theta]
+    bit_of = {x: r for r, x in enumerate(label)}
+    below = (1 << (theta - 1)) - 1
+    between = (1 << (m - 1)) - 1 - below
+
+    def streams(r: int) -> int:
+        return r & below | (r & between) << 1 | (r >> (m - 1)) << (theta - 1)
+
+    # vec[i] = e_x - sum_b beta_xb e_b for the i-th stream x outside B by rank.
+    vec = [
+        [(bit_of[x], 1)]
+        + [(bit_of[p + 1], -row[x - 1]) for row, p in zip(rref, pivots) if row[x - 1]]
+        for x in label
+        if not basis >> (x - 1) & 1
+    ]
+    drops = []
+    wedges: Dict[tuple, Dict[int, int]] = {(): {0: 1}}
+    for ell in range(1, len(vec) + 1):
         grown = {}
-        for s in combinations(vec, ell):
-            # wedge(s) = wedge(s minus its last stream) ^ vec[last stream]
-            w: Dict[tuple, int] = {}
+        for s in combinations(range(len(vec)), ell):
+            # wedge(s) = wedge(s minus its last stream) ^ vec[last stream]; the
+            # reorder sign is the parity of t's streams above y.
+            w: Dict[int, int] = {}
             for t, c in wedges[s[:-1]].items():
                 for y, a in vec[s[-1]]:
-                    if y not in t:
-                        key = tuple(sorted(t + (y,)))
-                        sign = (-1) ** sum(z > y for z in t)
-                        w[key] = (w.get(key, 0) + sign * c * a) % q
+                    if not t >> y & 1:
+                        key = t | 1 << y
+                        ca = -c * a if (t >> y).bit_count() & 1 else c * a
+                        w[key] = w.get(key, 0) + ca
+            w = {t: c % q for t, c in w.items() if c % q}
             grown[s] = w
-            drops[ell][tuple(sorted(order[r - 1] for r in s))] = tuple(
-                sorted(
-                    (tuple(sorted(order[r - 1] for r in t)), (-c) % q)
-                    for t, c in w.items()
-                    if c and t != s
-                )
-            )
+            head = sum(1 << vec[i][0][0] for i in s)
+            drops.append((
+                streams(head),
+                [(streams(t), -c % q) for t, c in w.items() if t != head],
+            ))
         wedges = grown
-    return kept, drops
+    return basis, drops
+
+
+@lru_cache(maxsize=4)
+def _subsets(m: int) -> Tuple[tuple, ...]:
+    """Every subset of streams 1..m as a sorted tuple, indexed by bitmask."""
+    subsets = [()]
+    for x in range(1, m + 1):
+        subsets += [s + (x,) for s in subsets]
+    return tuple(subsets)
+
+
+@lru_cache(maxsize=8)
+def _kept(m: int, basis: int) -> Dict[int, List[tuple]]:
+    """Per round, the subsets that meet B, in lexicographic order."""
+    return {
+        ell: [s for s in combinations(range(1, m + 1), ell)
+              if any(basis >> (x - 1) & 1 for x in s)]
+        for ell in range(1, m + 1)
+    }
+
+
+def _compact(values, bound: int) -> array:
+    """values as an array of the narrowest unsigned type that holds bound."""
+    code = next(c for c in "BHIQ" if bound >> 8 * array(c).itemsize == 0)
+    return array(code, values)
+
+
+# Entries of the trim cache. A normalised jplc stack is fixed by the
+# evaluation point of each column, so plan-heavy (K=5) draws 5! = 120 of them;
+# at M=10 and q=7 a full cache holds about 1 MB.
+_TRIM_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_TRIM_CACHE_SIZE)
+def _normalised_trim(stack: MatrixGF):
+    """The trim of a row-normalised stack in natural order (theta = M), as
+    flat int arrays: (basis, keys, offsets, terms, coefficients).
+
+    keys holds each dropped subset's bitmask, round by round; the terms of
+    keys[i] are terms[offsets[i]:offsets[i + 1]], in lexicographic order of
+    their subsets, with the matching coefficients.
+    """
+    q, m = stack.field.q, stack.nrows
+    basis, drops = _wedge(stack, m)
+    subsets = _subsets(m)
+    keys, offsets, terms, coeffs = [], [0], [], []
+    for s, combo in drops:
+        keys.append(s)
+        for t, c in sorted(combo, key=lambda tc: subsets[tc[0]]):
+            terms.append(t)
+            coeffs.append(c)
+        offsets.append(len(terms))
+    full = (1 << m) - 1
+    return (
+        basis,
+        _compact(keys, full),
+        _compact(offsets, len(terms)),
+        _compact(terms, full),
+        _compact(coeffs, q - 1),
+    )
+
+
+def _trim_tables(stack: MatrixGF, theta: int):
+    """Per round: kept subsets, and for each dropped subset the coefficients
+    expressing its sum through kept sums at the same server and coordinate.
+
+    The trim (see `_wedge`) is cached once per row-normalised stack, in
+    natural order, and carried over to (stack, theta) here. Take C = Lambda C'
+    with C' row-normalised and lambda_x the lead of row x (1 for a zero row).
+    The kept sets depend on B alone, which row scales leave unchanged. The
+    coefficient of each dropped s on a kept t is multiplied by
+    sigma(s) sigma(t) lambda_s / lambda_t, where lambda_s is the product of
+    the lambda_x over x in s and sigma(s) = (-1)^|{z in s : z > theta}| when
+    theta is in s, 1 otherwise: the sign that moves theta to the end. The
+    pattern does not involve positions, so one table per round covers every
+    server, repetition and coordinate. Kept lists are shared between calls,
+    so callers only read them.
+    """
+    field = stack.field
+    q, m = field.q, stack.nrows
+    leads = [next((v for v in row if v), 1) for row in stack.rows]
+    invs = [pow(v, q - 2, q) for v in leads]
+    normalised = MatrixGF(
+        [[v * inv % q for v in row] for row, inv in zip(stack.rows, invs)], field
+    )
+    basis, keys, offsets, terms, coeffs = _normalised_trim(normalised)
+    # scale[x] = sigma(x) lambda_x and unscale[x] = sigma(x) / lambda_x for
+    # every subset bitmask x, each from x minus its lowest stream. Only that
+    # stream being theta changes sigma.
+    scale, unscale = [1] * (1 << m), [1] * (1 << m)
+    for x in range(1, 1 << m):
+        low = x & -x
+        i = low.bit_length() - 1
+        up, down = scale[x ^ low] * leads[i] % q, unscale[x ^ low] * invs[i] % q
+        if i == theta - 1 and (x >> theta).bit_count() & 1:
+            up, down = q - up, q - down
+        scale[x], unscale[x] = up, down
+    subsets = _subsets(m)
+    drops: Dict[int, Dict[tuple, Tuple[tuple, ...]]] = {
+        ell: {} for ell in range(1, m + 1)
+    }
+    for i, s in enumerate(keys):
+        f = scale[s]
+        at, end = offsets[i], offsets[i + 1]
+        drops[s.bit_count()][subsets[s]] = tuple(
+            (subsets[t], c * f * unscale[t] % q)
+            for t, c in zip(terms[at:end], coeffs[at:end])
+        )
+    return _kept(m, basis), drops
 
 
 # ---------------------------------------------------------------------------

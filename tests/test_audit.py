@@ -127,6 +127,20 @@ def test_sampled_audits_reject_nonpositive_samples(audit, samples):
         audit(samples)
 
 
+@pytest.mark.parametrize("num_servers", [0, -5])
+def test_individual_privacy_rejects_fewer_than_one_server(num_servers):
+    """The iplc encoder never reads N, so only the audit's own check stops a
+    certificate for a server count no protocol run accepts."""
+    with pytest.raises(ValueError, match="at least one server"):
+        audit_individual_privacy(num_servers, 4, 2, F3)
+
+
+@pytest.mark.parametrize("num_servers", [0, -1])
+def test_reduction_marginal_rejects_fewer_than_one_server(num_servers):
+    with pytest.raises(ValueError, match="at least one server"):
+        audit_reduction_marginal("pir-si", num_servers, 4, 1, F3)
+
+
 # ---------------------------------------------------------------------------
 # Negative control: a view that shows the demanded support leaks the label,
 # so the engine must fail it in both modes and both kinds of statistic.

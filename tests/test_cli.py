@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -458,3 +459,125 @@ def test_out_file_holds_report(tmp_path, capsys):
     assert printed == ""
     report = json.loads(out_file.read_text())
     assert report["match"] is True
+
+
+# ---------------------------------------------------------------------------
+# Transcript fuzz: whatever a transcript's bytes, section lengths or JSON
+# fields say, replay ends with exit 0, 1 or 3 and raises nothing.
+
+FUZZ_RUNS = {
+    "jplc": ["--mode", "jplc", "--messages", "3", "--demand-size", "2"],
+    "iplc": ["--mode", "iplc", "--messages", "4", "--demand-size", "2"],
+}
+FUZZ = settings(max_examples=200, derandomize=True, deadline=None)
+_HEADER = 6  # magic, version byte, section count byte
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding one jplc and one iplc transcript at q = 3."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, argv in FUZZ_RUNS.items():
+        path = root / f"{name}.plct"
+        with redirect_stdout(io.StringIO()):
+            code = main(argv + ["--field", "3", "--seed", "7", "--transcript", str(path)])
+        assert code == EXIT_OK
+    return root
+
+
+def _replay_blob(root, blob):
+    path = root / "fuzzed.plct"
+    path.write_bytes(blob)
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["--mode", "replay", "--transcript", str(path)])
+    return code, out.getvalue()
+
+
+def _length_prefixes(blob):
+    """The offset of each section's 4-byte length prefix."""
+    found, at = [], _HEADER
+    while at < len(blob):
+        found.append(at)
+        at += 4 + struct.unpack_from(">I", blob, at)[0]
+    return found
+
+
+@FUZZ
+@given(st.sampled_from(sorted(FUZZ_RUNS)), st.data())
+def test_mutated_transcript_bytes_replay_to_a_documented_exit(fuzz_dir, name, data):
+    blob = (fuzz_dir / f"{name}.plct").read_bytes()
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(blob) - 1))
+        blob = blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1 :]
+    else:
+        at = data.draw(st.sampled_from(_length_prefixes(blob)))
+        length = data.draw(st.integers(0, 2**32 - 1))
+        blob = blob[:at] + struct.pack(">I", length) + blob[at + 4 :]
+    code, _ = _replay_blob(fuzz_dir, blob)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT)
+
+
+def _json_paths(obj, path=()):
+    """The path of every value in a JSON document, the root included. Of a
+    list only the first and last entries are entered, so that long lists do
+    not crowd out the fields."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list) and obj:
+        items = ((0, obj[0]), (len(obj) - 1, obj[-1]))
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+_JSON_VALUES = st.one_of(
+    st.integers(-3, 9),
+    st.sampled_from([None, True, 1.5, "3", [], {}, 2**61 - 1, 2**70]),
+    st.lists(st.integers(-1, 4), max_size=4),
+)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(FUZZ_RUNS)), st.data())
+def test_mutated_transcript_field_replays_to_a_documented_exit(fuzz_dir, name, data):
+    """One JSON value replaced, or one list entry or object key removed."""
+    payload = read_transcript(str(fuzz_dir / f"{name}.plct"))
+    # params and randomness hold every scalar replay reads: half the draws.
+    section = data.draw(
+        st.sampled_from(["params", "randomness"]) | st.sampled_from(sorted(payload))
+    )
+    path = data.draw(st.sampled_from(list(_json_paths(payload[section]))))
+    parent, key = payload, section
+    for step in path:
+        parent, key = parent[key], step
+    if path and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON_VALUES)
+    path = fuzz_dir / "source.plct"
+    write_transcript(str(path), payload)
+    code, _ = _replay_blob(fuzz_dir, path.read_bytes())
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVARIANT)
+
+
+@FUZZ
+@given(st.sampled_from(sorted(FUZZ_RUNS)), st.data())
+def test_changed_answer_value_fails_replay(fuzz_dir, name, data):
+    payload = read_transcript(str(fuzz_dir / f"{name}.plct"))
+    answers = payload["answers"]
+    server, block = data.draw(st.sampled_from([
+        (i, j) for i, blocks in enumerate(answers) for j, got in enumerate(blocks) if got
+    ]))
+    index = data.draw(st.integers(0, len(answers[server][block]) - 1))
+    old = answers[server][block][index]
+    answers[server][block][index] = data.draw(
+        st.integers(-3, 2**64).filter(lambda v: v != old)
+    )
+    path = fuzz_dir / "source.plct"
+    write_transcript(str(path), payload)
+    code, out = _replay_blob(fuzz_dir, path.read_bytes())
+    assert code == EXIT_INVARIANT
+    assert json.loads(out)["mismatch"] == "answer mismatch"

@@ -1,20 +1,28 @@
 import dataclasses
+import gc
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, islice, permutations
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from plclab import plc_engine
 from plclab.ffield import PrimeField
-from plclab.gflinalg import MatrixGF, rank
+from plclab.gflinalg import MatrixGF, VectorGF, rank
+from plclab.iplc_encoder import build_partition_matrix
+from plclab.jplc_encoder import JplcDraws, build_grs_matrix
 from plclab.plc_engine import (
+    _TRIM_CACHE_SIZE,
     PlcInstance,
     PlcRandomness,
+    _normalised_trim,
     _serialise,
     _sign_pattern,
     _trim_tables,
+    _wedge,
     answer_queries,
     download_report,
     expected_download,
@@ -23,7 +31,7 @@ from plclab.plc_engine import (
     random_plc_randomness,
     reconstruct,
 )
-from plclab.protocol_core import random_dataset, random_demand
+from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import run_jplc
 
 F3 = PrimeField(3)
@@ -453,17 +461,141 @@ def test_trim_drops_are_exact_identities(case):
             assert expanded == _sum_row(stack, s, theta)
 
 
-def test_run_plans_once():
+def _oracle(stack, theta):
+    """(kept, drops) straight from the wedge for (stack, theta): no cache, no
+    normalisation, no transport."""
+    m = stack.nrows
+    basis, wedge_drops = _wedge(stack, theta)
+
+    def streams(mask):
+        return tuple(x for x in range(1, m + 1) if mask >> (x - 1) & 1)
+
+    kept = {
+        ell: [s for s in combinations(range(1, m + 1), ell)
+              if set(s) & set(streams(basis))]
+        for ell in range(1, m + 1)
+    }
+    drops = {ell: {} for ell in range(1, m + 1)}
+    for s, combo in wedge_drops:
+        drops[len(streams(s))][streams(s)] = tuple(
+            sorted((streams(t), c) for t, c in combo)
+        )
+    return kept, drops
+
+
+def _rescaled(stack, scales):
+    q = stack.field.q
+    return MatrixGF(
+        [[c * v % q for v in row] for row, c in zip(stack.rows, scales)], stack.field
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_transported_trim_equals_the_wedge(data):
+    """The trim cached for one stack, carried over to a row rescaling of it
+    and to every target, equals the wedge computed for that stack and target."""
+    stack, _ = data.draw(full_rank_stacks())
+    q = stack.field.q
+    scales = [data.draw(st.integers(1, q - 1)) for _ in range(stack.nrows)]
+    for case in (stack, _rescaled(stack, scales)):
+        for theta in range(1, stack.nrows + 1):
+            assert _trim_tables(case, theta) == _oracle(case, theta)
+
+
+def _jplc_stack(k, d, q, rng):
+    field = PrimeField(q)
+    enc = build_grs_matrix(2, random_demand(field, k, d, rng), k, field, rng)
+    return MatrixGF([cv.entries for cv in enc.combination_vectors], field)
+
+
+def _iplc_stack(k, d, q, rng):
+    field = PrimeField(q)
+    enc = build_partition_matrix(random_demand(field, k, d, rng), k, field, rng)
+    return MatrixGF([cv.entries for cv in enc.combination_vectors], field)
+
+
+# (builder, K, D, q) at the benchmark's shapes: plan-heavy, wide-field,
+# small-calls and the audit certificate's stack.
+ENCODER_SHAPES = (
+    (_jplc_stack, 5, 2, 5),
+    (_jplc_stack, 4, 2, 8191),
+    (_iplc_stack, 6, 2, 8191),
+    (_jplc_stack, 3, 2, 3),
+    (_iplc_stack, 5, 2, 3),
+    (_jplc_stack, 4, 2, 5),
+)
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(st.sampled_from(ENCODER_SHAPES), st.integers(0, 2**32))
+def test_transported_trim_equals_the_wedge_on_encoder_stacks(shape, seed):
+    build, k, d, q = shape
+    stack = build(k, d, q, random.Random(seed))
+    for theta in range(1, stack.nrows + 1):
+        assert _trim_tables(stack, theta) == _oracle(stack, theta)
+
+
+def test_run_plans_once(monkeypatch):
     """A run trims once, while building its plan, and serialises once: a
-    miss in generate_queries and a hit in reconstruct."""
+    miss in generate_queries and a hit in reconstruct. A row rescaling of
+    its stack, with another target, reuses that trim."""
     rng = random.Random(5)
     ds = random_dataset(F3, 3, 8, rng)
-    _trim_tables.cache_clear()
+    _normalised_trim.cache_clear()
     _serialise.cache_clear()
-    run_jplc(2, ds, random_demand(F3, 3, 2, rng), rng, verify=True)
-    trims, bakes = _trim_tables.cache_info(), _serialise.cache_info()
+    run = run_jplc(2, ds, random_demand(F3, 3, 2, rng), rng, verify=True)
+    trims, bakes = _normalised_trim.cache_info(), _serialise.cache_info()
     assert (trims.misses, trims.hits) == (1, 0)
     assert (bakes.misses, bakes.hits) == (1, 1)
+
+    stack = _rescaled(run.instance.combination_matrix, (2, 1, 2))
+    assert stack != run.instance.combination_matrix
+    theta = run.instance.demand_index % 3 + 1
+    randomness = random_plc_randomness(8, rng)
+    inst = PlcInstance(2, stack, theta, 8)
+    desc = generate_queries(inst, randomness)
+    trims = _normalised_trim.cache_info()
+    assert (trims.misses, trims.hits) == (1, 1)
+    assert inst.plan.drops == _oracle(stack, theta)[1]
+
+    monkeypatch.setattr(plc_engine, "_trim_tables", _oracle)
+    _serialise.cache_clear()
+    from_oracle = PlcInstance(2, stack, theta, 8)
+    assert generate_queries(from_oracle, randomness) == desc
+
+
+def test_full_trim_cache_stays_small():
+    """Filled to maxsize with distinct M = 10 jplc stacks, the trim cache
+    holds at most 4 MB. A normalised stack is fixed by the evaluation point
+    of each column: K = 5 gives 5! = 120 of them for each of D = 2 and 3."""
+    field = PrimeField(7)
+
+    def stacks():
+        for d in (2, 3):
+            demand = Demand(range(1, d + 1), VectorGF([1] * d, field))
+            for omegas in permutations(range(5)):
+                enc = build_grs_matrix(
+                    2, demand, 5, field, random.Random(0), JplcDraws(omegas)
+                )
+                yield MatrixGF([cv.entries for cv in enc.combination_vectors], field)
+
+    stacks = list(islice(stacks(), _TRIM_CACHE_SIZE))
+    assert {s.nrows for s in stacks} == {10}
+    _normalised_trim.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for stack in stacks:
+            _trim_tables(stack, 1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    info = _normalised_trim.cache_info()
+    assert (info.misses, info.currsize) == (_TRIM_CACHE_SIZE, _TRIM_CACHE_SIZE)
+    assert held <= 4 * 2**20
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)

@@ -454,7 +454,12 @@ def audit_recoverability(
     repetitions: int = 1,
 ) -> AuditReport:
     """Run full random transcripts and compare against direct evaluation."""
-    run = {"jplc": run_jplc, "iplc": run_iplc}[protocol]
+    runs = {"jplc": run_jplc, "iplc": run_iplc}
+    if protocol not in runs:
+        raise ValueError(f"unknown protocol {protocol!r}: expected jplc or iplc")
+    if num_servers < 1:
+        raise ValueError("need at least one server")
+    run = runs[protocol]
     if trials < 1:
         raise ValueError(f"recoverability needs at least one trial, got {trials}")
     t_len = repetitions * minimum_stream_length(

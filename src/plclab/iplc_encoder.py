@@ -225,6 +225,8 @@ def build_partition_matrix(
     """
     k = num_streams
     d = demand.size
+    if demand.field != field:
+        raise ValueError("demand and encoder fields differ")
     r, n, m = partition_shape(k, d)
     if demand.indices[-1] > k:
         raise ValueError("demand index exceeds stream count")

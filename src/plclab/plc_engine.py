@@ -25,10 +25,14 @@ when its subset meets B, whatever the target. The trim is computed once per
 row-normalised stack and carried over to each stack and target: the target
 enters only through signs and the row scales through one factor per subset.
 
-Everything but the user randomness (templates, trim, reconstruction tables)
-is a `QueryPlan`, built once per instance. The randomness is baked into the
-plan once per (instance, randomness) pair: `reconstruct` checks the
-descriptor against the serialisation `generate_queries` made, and reuses it.
+The scheme is one block of N^M positions, repeated T / N^M times. Everything
+but the user randomness is a `QueryPlan` for one repetition, built once per
+instance: its sums, grouped by subset, and the trim and reconstruction
+tables, keyed on subsets as bitmasks. Repetition r is an offset: r N^M on
+positions and r times the sums per repetition on sum indices. The
+randomness is baked into the plan once per (instance, randomness) pair:
+`reconstruct` checks the descriptor against the serialisation
+`generate_queries` made, and reuses it.
 """
 
 from __future__ import annotations
@@ -157,18 +161,7 @@ AnswerSet = Tuple[Tuple[Tuple[int, ...], ...], ...]
 
 
 # ---------------------------------------------------------------------------
-# Canonical structure: position tables and sum templates.
-
-class _SumTemplate:
-    __slots__ = ("server", "order", "subset", "index", "terms")
-
-    def __init__(self, server, order, subset, index, terms):
-        self.server = server
-        self.order = order
-        self.subset = subset
-        self.index = index  # position in the skeleton's list of sums
-        self.terms = terms  # ((stream, 0-based engine position, eps), ...) by stream
-
+# Canonical structure: one repetition's position tables and sums.
 
 def _other_servers(server: int, num_servers: int) -> List[int]:
     return [n for n in range(1, num_servers + 1) if n != server]
@@ -185,12 +178,18 @@ def _sign_pattern(s: tuple, theta: int) -> Dict[int, int]:
 
 
 @lru_cache(maxsize=32)
-def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
-    """Every sum's template, and how reconstruction indexes and peels them.
+def _build_skeleton(num_servers: int, num_streams: int, theta: int):
+    """One repetition's sums, grouped by subset, and how reconstruction
+    indexes and peels them.
 
-    Engine positions are 0-based here. first[(rep, server, subset)] is the
-    index of the subset's coordinate-0 sum; its other coordinates follow it.
-    peel holds four columns with one entry per fresh position v of the
+    The scheme repeats one block of N^M engine positions; repetition r reads
+    position v + r N^M and sum i + r len(sums). Positions are 0-based.
+    sums[i] is a tuple of (stream, position, eps) terms, by stream.
+    groups[server-1][ell-1] lists the round's (subset bitmask, first) pairs
+    in lexicographic order of subsets, bit x-1 standing for stream x: the
+    subset's (N-1)^(ell-1) sums, one per coordinate, are
+    sums[first:first + (N-1)^(ell-1)], and first[(server, mask)] is the same
+    index. peel holds four columns with one entry per fresh position v of the
     target, (v, sum, source, sign): the target's engine symbol at v is
     sign * (sum - source), where source is the other server's previous-round
     sum over the same interference, or -1 in round one, which has none. The
@@ -199,61 +198,56 @@ def _build_skeleton(num_servers: int, num_streams: int, reps: int, theta: int):
     n, m = num_servers, num_streams
     streams = range(1, m + 1)
     val: Dict[tuple, Tuple[int, ...]] = {}
-    sums: List[_SumTemplate] = []
-    first: Dict[tuple, int] = {}
-    for rep in range(reps):
-        counter = rep * n**m
-        for ell in range(1, m + 1):
-            slot_count = (n - 1) ** (ell - 1)
-            # Position tables for the (ell-1)-subsets, in fresh-counter order:
-            # server-major, subsets lexicographic. Tables containing the
-            # target inherit the other servers' previous-round positions
-            # instead of consuming fresh ones.
-            for server in range(1, n + 1):
-                for u in combinations(streams, ell - 1):
-                    if theta in u:
-                        src = tuple(u_x for u_x in u if u_x != theta)
-                        inherited = []
-                        for n2 in _other_servers(server, n):
-                            inherited.extend(val[(rep, n2, src)])
-                        val[(rep, server, u)] = tuple(inherited)
-                    else:
-                        val[(rep, server, u)] = tuple(
-                            range(counter, counter + slot_count)
-                        )
-                        counter += slot_count
-            # One sum per server, ell-subset and coordinate.
-            for server in range(1, n + 1):
-                for s in combinations(streams, ell):
-                    eps_of = _sign_pattern(s, theta)
-                    first[(rep, server, s)] = len(sums)
-                    for coord in range(slot_count):
-                        terms = tuple(
-                            (
-                                x,
-                                val[(rep, server, tuple(y for y in s if y != x))][coord],
-                                eps_of[x],
-                            )
-                            for x in s
-                        )
-                        sums.append(_SumTemplate(server, ell, s, len(sums), terms))
+    sums: List[tuple] = []
+    groups = [[[] for _ in streams] for _ in range(n)]
+    first: Dict[Tuple[int, int], int] = {}
     peel = tuple(array("q") for _ in range(4))
-    for (rep, server, s), at in first.items():
-        if theta not in s:
-            continue
-        ell = len(s)
-        rest = tuple(x for x in s if x != theta)
-        sign = (-1) ** (ell - 1)
-        others = _other_servers(server, n)
+    counter = 0
+    for ell in streams:
+        slot_count = (n - 1) ** (ell - 1)
         sub_slot = (n - 1) ** (ell - 2) if ell >= 2 else 0
-        for coord, v in enumerate(val[(rep, server, rest)]):
-            src = -1
-            if ell >= 2:
-                src_server = others[coord // sub_slot]
-                src = first[(rep, src_server, rest)] + coord % sub_slot
-            for column, value in zip(peel, (v, at + coord, src, sign)):
-                column.append(value)
-    return sums, first, peel
+        # Position tables for the (ell-1)-subsets, in fresh-counter order:
+        # server-major, subsets lexicographic. Tables containing the target
+        # inherit the other servers' previous-round positions instead of
+        # consuming fresh ones.
+        for server in range(1, n + 1):
+            for u in combinations(streams, ell - 1):
+                if theta in u:
+                    rest = tuple(x for x in u if x != theta)
+                    inherited = []
+                    for n2 in _other_servers(server, n):
+                        inherited.extend(val[(n2, rest)])
+                    val[(server, u)] = tuple(inherited)
+                else:
+                    val[(server, u)] = tuple(range(counter, counter + slot_count))
+                    counter += slot_count
+        # One sum per server, ell-subset and coordinate.
+        subsets = [
+            (s, sum(1 << (x - 1) for x in s), _sign_pattern(s, theta))
+            for s in combinations(streams, ell)
+        ]
+        for server in range(1, n + 1):
+            others = _other_servers(server, n)
+            for s, mask, eps_of in subsets:
+                at = first[(server, mask)] = len(sums)
+                groups[server - 1][ell - 1].append((mask, at))
+                for coord in range(slot_count):
+                    sums.append(tuple(
+                        (x, val[(server, tuple(y for y in s if y != x))][coord], eps_of[x])
+                        for x in s
+                    ))
+                if theta not in s:
+                    continue
+                rest = tuple(x for x in s if x != theta)
+                for coord, v in enumerate(val[(server, rest)]):
+                    src = -1
+                    if ell >= 2:
+                        src = first[(others[coord // sub_slot], mask ^ 1 << (theta - 1))]
+                        src += coord % sub_slot
+                    for column, value in zip(peel, (v, at + coord, src, eps_of[theta])):
+                        column.append(value)
+    groups = tuple(tuple(map(tuple, server)) for server in groups)
+    return tuple(sums), groups, first, peel
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +266,9 @@ def _wedge(stack: MatrixGF, theta: int):
     coefficient is 1 and every other term meets B, so it expands the dropped
     sum through kept ones.
 
-    Returns (basis, drops): basis is B's bitmask, and drops lists, round by
-    round, each dropped subset s with the (t, coefficient) pairs expressing
-    its sum through the kept sums t, in no particular order.
+    Returns (basis, drops): basis is B's bitmask, and drops maps each dropped
+    subset s, round by round, to the (t, coefficient) pairs expressing its
+    sum through the kept sums t, in no particular order.
     """
     q, m = stack.field.q, stack.nrows
     rref, pivots = _rref(stack.transpose().rows, q)
@@ -297,7 +291,7 @@ def _wedge(stack: MatrixGF, theta: int):
         for x in label
         if not basis >> (x - 1) & 1
     ]
-    drops = []
+    drops: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     wedges: Dict[tuple, Dict[int, int]] = {(): {0: 1}}
     for ell in range(1, len(vec) + 1):
         grown = {}
@@ -314,31 +308,11 @@ def _wedge(stack: MatrixGF, theta: int):
             w = {t: c % q for t, c in w.items() if c % q}
             grown[s] = w
             head = sum(1 << vec[i][0][0] for i in s)
-            drops.append((
-                streams(head),
-                [(streams(t), -c % q) for t, c in w.items() if t != head],
-            ))
+            drops[streams(head)] = tuple(
+                (streams(t), -c % q) for t, c in w.items() if t != head
+            )
         wedges = grown
     return basis, drops
-
-
-@lru_cache(maxsize=4)
-def _subsets(m: int) -> Tuple[tuple, ...]:
-    """Every subset of streams 1..m as a sorted tuple, indexed by bitmask."""
-    subsets = [()]
-    for x in range(1, m + 1):
-        subsets += [s + (x,) for s in subsets]
-    return tuple(subsets)
-
-
-@lru_cache(maxsize=8)
-def _kept(m: int, basis: int) -> Dict[int, List[tuple]]:
-    """Per round, the subsets that meet B, in lexicographic order."""
-    return {
-        ell: [s for s in combinations(range(1, m + 1), ell)
-              if any(basis >> (x - 1) & 1 for x in s)]
-        for ell in range(1, m + 1)
-    }
 
 
 def _compact(values, bound: int) -> array:
@@ -359,23 +333,21 @@ def _normalised_trim(stack: MatrixGF):
     flat int arrays: (basis, keys, offsets, terms, coefficients).
 
     keys holds each dropped subset's bitmask, round by round; the terms of
-    keys[i] are terms[offsets[i]:offsets[i + 1]], in lexicographic order of
-    their subsets, with the matching coefficients.
+    keys[i] are terms[offsets[i]:offsets[i + 1]], in the wedge's order, with
+    the matching coefficients.
     """
     q, m = stack.field.q, stack.nrows
     basis, drops = _wedge(stack, m)
-    subsets = _subsets(m)
-    keys, offsets, terms, coeffs = [], [0], [], []
-    for s, combo in drops:
-        keys.append(s)
-        for t, c in sorted(combo, key=lambda tc: subsets[tc[0]]):
+    offsets, terms, coeffs = [0], [], []
+    for combo in drops.values():
+        for t, c in combo:
             terms.append(t)
             coeffs.append(c)
         offsets.append(len(terms))
     full = (1 << m) - 1
     return (
         basis,
-        _compact(keys, full),
+        _compact(drops.keys(), full),
         _compact(offsets, len(terms)),
         _compact(terms, full),
         _compact(coeffs, q - 1),
@@ -383,20 +355,20 @@ def _normalised_trim(stack: MatrixGF):
 
 
 def _trim_tables(stack: MatrixGF, theta: int):
-    """Per round: kept subsets, and for each dropped subset the coefficients
-    expressing its sum through kept sums at the same server and coordinate.
+    """The trim for (stack, theta) in `_wedge`'s encoding: (basis, drops),
+    with B's bitmask and, for each dropped subset's bitmask s, the (t,
+    coefficient) pairs expressing its sum through kept sums t at the same
+    server and coordinate. A subset is kept exactly when it meets B.
 
-    The trim (see `_wedge`) is cached once per row-normalised stack, in
-    natural order, and carried over to (stack, theta) here. Take C = Lambda C'
-    with C' row-normalised and lambda_x the lead of row x (1 for a zero row).
-    The kept sets depend on B alone, which row scales leave unchanged. The
-    coefficient of each dropped s on a kept t is multiplied by
-    sigma(s) sigma(t) lambda_s / lambda_t, where lambda_s is the product of
-    the lambda_x over x in s and sigma(s) = (-1)^|{z in s : z > theta}| when
-    theta is in s, 1 otherwise: the sign that moves theta to the end. The
-    pattern does not involve positions, so one table per round covers every
-    server, repetition and coordinate. Kept lists are shared between calls,
-    so callers only read them.
+    The trim is cached once per row-normalised stack, in natural order, and
+    carried over to (stack, theta) here. Take C = Lambda C' with C'
+    row-normalised and lambda_x the lead of row x (1 for a zero row). B is
+    unchanged by row scales. The coefficient of each dropped s on a kept t is
+    multiplied by sigma(s) sigma(t) lambda_s / lambda_t, where lambda_s is
+    the product of the lambda_x over x in s and sigma(s) =
+    (-1)^|{z in s : z > theta}| when theta is in s, 1 otherwise: the sign that
+    moves theta to the end. The pattern does not involve positions, so one
+    table covers every server, repetition and coordinate.
     """
     field = stack.field
     q, m = field.q, stack.nrows
@@ -417,18 +389,14 @@ def _trim_tables(stack: MatrixGF, theta: int):
         if i == theta - 1 and (x >> theta).bit_count() & 1:
             up, down = q - up, q - down
         scale[x], unscale[x] = up, down
-    subsets = _subsets(m)
-    drops: Dict[int, Dict[tuple, Tuple[tuple, ...]]] = {
-        ell: {} for ell in range(1, m + 1)
-    }
+    drops = {}
     for i, s in enumerate(keys):
         f = scale[s]
         at, end = offsets[i], offsets[i + 1]
-        drops[s.bit_count()][subsets[s]] = tuple(
-            (subsets[t], c * f * unscale[t] % q)
-            for t, c in zip(terms[at:end], coeffs[at:end])
+        drops[s] = tuple(
+            (t, c * f * unscale[t] % q) for t, c in zip(terms[at:end], coeffs[at:end])
         )
-    return _kept(m, basis), drops
+    return basis, drops
 
 
 # ---------------------------------------------------------------------------
@@ -436,34 +404,35 @@ def _trim_tables(stack: MatrixGF, theta: int):
 
 @dataclass(frozen=True, eq=False)
 class QueryPlan:
-    """The randomness-free part of one retrieval.
+    """The randomness-free part of one retrieval, for one repetition.
 
-    kept[server-1][ell-1] holds the templates of the round's sums that
-    survive the trim, in skeleton order. drops is the trim's table expanding
-    every dropped sum through kept ones. first and peel come from the
-    skeleton (see `_build_skeleton`), and num_sums counts its sums, kept or
-    dropped. Callers only read it.
+    sums, first and peel come from the skeleton (see `_build_skeleton`).
+    kept[server-1][ell-1] holds the indices into sums of the round's sums
+    that survive the trim, coordinate by coordinate: the skeleton's groups
+    are kept whole, exactly when their subset meets B. drops is the trim's
+    table expanding every dropped subset's sums through kept ones (see
+    `_trim_tables`). Callers only read it.
     """
 
-    kept: Tuple[Tuple[Tuple[_SumTemplate, ...], ...], ...]
-    drops: Dict[int, Dict[tuple, Tuple[tuple, ...]]]
-    first: Dict[tuple, int]
+    sums: Tuple[tuple, ...]
+    kept: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    drops: Dict[int, Tuple[Tuple[int, int], ...]]
+    first: Dict[Tuple[int, int], int]
     peel: Tuple[array, array, array, array]
-    num_sums: int
 
 
 def _build_plan(instance: PlcInstance) -> QueryPlan:
-    n, m = instance.num_servers, instance.num_streams
-    theta = instance.demand_index
-    sums, first, peel = _build_skeleton(n, m, instance.repetitions, theta)
-    kept, drops = _trim_tables(instance.combination_matrix, theta)
-    kept_sets = {ell: set(v) for ell, v in kept.items()}
-    blocks = [[[] for _ in range(m)] for _ in range(n)]
-    for tmpl in sums:
-        if tmpl.subset in kept_sets[tmpl.order]:
-            blocks[tmpl.server - 1][tmpl.order - 1].append(tmpl)
-    kept_blocks = tuple(tuple(map(tuple, server)) for server in blocks)
-    return QueryPlan(kept_blocks, drops, first, peel, len(sums))
+    n, theta = instance.num_servers, instance.demand_index
+    sums, groups, first, peel = _build_skeleton(n, instance.num_streams, theta)
+    basis, drops = _trim_tables(instance.combination_matrix, theta)
+    kept = []
+    for server in groups:
+        blocks = []
+        for ell, round_groups in enumerate(server):
+            firsts = [at for mask, at in round_groups if mask & basis]
+            blocks.append(tuple([at + c for c in range((n - 1) ** ell) for at in firsts]))
+        kept.append(tuple(blocks))
+    return QueryPlan(sums, tuple(kept), drops, first, peel)
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +455,38 @@ def _bake(terms, tau, signs, q: int):
 
 @lru_cache(maxsize=1)
 def _serialise(instance: PlcInstance, randomness: PlcRandomness):
-    """The plan's kept sums with the randomness baked in, each block in
-    canonical order.
+    """The plan's kept sums, in every repetition, with the randomness baked
+    in, each block in canonical order.
 
-    Returns per_server, the wire blocks of the descriptor, and notes, which
-    holds per block the (skeleton index, lead) of each sum in the same
-    order. One entry: `reconstruct` reuses the serialisation that
-    `generate_queries` just made for the same instance and randomness. The
-    cache hands the same blocks to every caller, so callers only read them.
+    Repetition r bakes the plan's sums against the r-th N^M slice of tau and
+    the signs. Returns per_server, the wire blocks of the descriptor, and
+    notes, which holds per block the (sum index, lead) of each sum in the
+    same order, sum i of repetition r having index i + r len(sums). One
+    entry: `reconstruct` reuses the serialisation that `generate_queries`
+    just made for the same instance and randomness. The cache hands the same
+    blocks to every caller, so callers only read them.
     """
     if len(randomness.position_map) != instance.stream_length:
         raise ValueError("randomness sized for a different stream length")
     q = instance.field.q
+    plan = instance.plan
+    sums, size = plan.sums, len(plan.sums)
     tau, signs = randomness.position_map, randomness.signs
+    block = len(plan.peel[0])  # N^M: the target's peel covers every position
+    # Repetition 0 reads the whole tuples: its positions all lie below N^M.
+    copies = [(0, tau, signs)]
+    for v in range(block, len(tau), block):
+        copies.append((len(copies) * size, tau[v : v + block], signs[v : v + block]))
     by_wire = itemgetter(0)
     per_server, notes = [], []
-    for server_kept in instance.plan.kept:
+    for server_kept in plan.kept:
         wires, server_notes = [], []
-        for templates in server_kept:
+        for indices in server_kept:
             baked = []
-            for tmpl in templates:
-                wire, lead = _bake(tmpl.terms, tau, signs, q)
-                baked.append((wire, (tmpl.index, lead)))
+            for offset, tau_r, signs_r in copies:
+                for i in indices:
+                    wire, lead = _bake(sums[i], tau_r, signs_r, q)
+                    baked.append((wire, (offset + i, lead)))
             baked.sort(key=by_wire)
             block_wires, block_notes = zip(*baked) if baked else ((), ())
             wires.append(block_wires)
@@ -593,41 +572,51 @@ def reconstruct(
     if per_server != descriptor.per_server:
         raise ValueError("descriptor does not match instance and randomness")
     plan = instance.plan
-    if len(plan.peel[0]) != instance.stream_length:
+    n, block = instance.num_servers, instance.num_servers**instance.num_streams
+    if len(plan.peel[0]) != block:
         raise ValueError("target coverage incomplete")
 
-    # Un-normalised sum values in engine pattern space, by skeleton index.
-    values = [0] * plan.num_sums
-    for server_idx, server_notes in enumerate(notes):
-        for ell_idx, block in enumerate(server_notes):
-            got = answers[server_idx][ell_idx]
-            if len(got) != len(block):
+    # Un-normalised sum values in engine pattern space, by sum index. The
+    # answers come from outside, so their shape and entries are checked.
+    size = len(plan.sums)
+    values = [0] * (size * instance.repetitions)
+    if len(answers) != len(notes):
+        raise ValueError("answer set must hold one tuple per server")
+    for server_notes, server_answers in zip(notes, answers):
+        if len(server_answers) != len(server_notes):
+            raise ValueError("answer set must hold one block per round")
+        for block_notes, got in zip(server_notes, server_answers):
+            if len(got) != len(block_notes):
                 raise ValueError("answer shape differs from descriptor")
-            for (at, lead), ans in zip(block, got):
+            for (at, lead), ans in zip(block_notes, got):
+                if type(ans) is not int or not 0 <= ans < q:
+                    raise ValueError(f"answer {ans!r} is not an int in [0, q)")
                 values[at] = (lead * ans) % q
 
-    # Expand the trimmed sums from the kept ones.
-    n = instance.num_servers
+    # Expand the trimmed sums from the kept ones, repetition by repetition.
     first = plan.first
-    for ell, drops_ell in plan.drops.items():
-        slot_count = (n - 1) ** (ell - 1)
-        for rep in range(instance.repetitions):
-            for server in range(1, n + 1):
-                for s, combo in drops_ell.items():
-                    at = first[(rep, server, s)]
-                    terms = [(first[(rep, server, t)], lam) for t, lam in combo]
-                    for coord in range(slot_count):
-                        acc = 0
-                        for t, lam in terms:
-                            acc += lam * values[t + coord]
-                        values[at + coord] = acc % q
+    offsets = range(0, len(values), size)
+    for server in range(1, n + 1):
+        for s, combo in plan.drops.items():
+            at = first[(server, s)]
+            terms = [(first[(server, t)], lam) for t, lam in combo]
+            slot_count = (n - 1) ** (s.bit_count() - 1)
+            for offset in offsets:
+                for coord in range(offset, offset + slot_count):
+                    acc = 0
+                    for t, lam in terms:
+                        acc += lam * values[t + coord]
+                    values[at + coord] = acc % q
 
     # Peel the target's fresh symbols and undo the randomness.
     tau, signs = randomness.position_map, randomness.signs
     out = [0] * instance.stream_length
-    for v, at, src, sign in zip(*plan.peel):
-        total = values[at] - values[src] if src >= 0 else values[at]
-        out[tau[v] - 1] = (sign * signs[v] * total) % q
+    for offset, base in zip(offsets, range(0, instance.stream_length, block)):
+        for v, at, src, sign in zip(*plan.peel):
+            at += offset
+            total = values[at] - values[src + offset] if src >= 0 else values[at]
+            v += base
+            out[tau[v] - 1] = (sign * signs[v] * total) % q
     return out
 
 

@@ -217,6 +217,17 @@ def test_recoverability_rejects_nonpositive_trials(trials):
         audit_recoverability("jplc", 2, 3, 2, F3, random.Random(3), trials=trials)
 
 
+def test_recoverability_rejects_unknown_protocol():
+    with pytest.raises(ValueError, match="unknown protocol 'xyz'"):
+        audit_recoverability("xyz", 2, 3, 2, F3, random.Random(3))
+
+
+@pytest.mark.parametrize("servers", [0, -2])
+def test_recoverability_rejects_fewer_than_one_server(servers):
+    with pytest.raises(ValueError, match="need at least one server"):
+        audit_recoverability("jplc", servers, 3, 2, F3, random.Random(3))
+
+
 # ---------------------------------------------------------------------------
 # Engine-layer certificates, checked against a brute-force oracle where the
 # randomness space is small enough to enumerate outright.

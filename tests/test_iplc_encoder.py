@@ -209,3 +209,14 @@ def test_run_iplc_verifies_at_large_q(q, n):
     demand = random_demand(field, k, d, rng)
     run = run_iplc(n, dataset, demand, rng, verify=True)
     assert tuple(run.recovered) == demand.evaluate(dataset).entries
+
+
+def test_demand_from_another_field_is_rejected():
+    """The encoder, like the joint one, refuses a demand over another field,
+    and so does a run through it."""
+    demand = Demand((1, 3), VectorGF([1, 2], PrimeField(5)))
+    with pytest.raises(ValueError, match="demand and encoder fields differ"):
+        build_partition_matrix(demand, 5, F3, random.Random(0))
+    dataset = random_dataset(F3, 5, minimum_stream_length("iplc", 2, 5, 2), random.Random(1))
+    with pytest.raises(ValueError, match="demand and encoder fields differ"):
+        run_iplc(2, dataset, demand, random.Random(0))

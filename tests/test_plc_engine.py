@@ -293,6 +293,36 @@ def test_reconstruct_rejects_tampered_descriptor(tamper):
     assert reconstruct(desc, answers, inst, randomness) == streams[3]
 
 
+def _with_first_answer(answers, value):
+    (first, *rest), *servers = answers
+    return (((value,) + first[1:],) + tuple(rest),) + tuple(servers)
+
+
+ANSWER_TAMPERS = {
+    "missing-server": lambda a: a[:-1],
+    "extra-server": lambda a: a + a[-1:],
+    "missing-round": lambda a: (a[0][:-1],) + a[1:],
+    "extra-round": lambda a: (a[0] + ((),),) + a[1:],
+    "short-block": lambda a: ((a[0][0][1:],) + a[0][1:],) + a[1:],
+    "float-answer": lambda a: _with_first_answer(a, float(a[0][0][0])),
+    "answer-equal-to-q": lambda a: _with_first_answer(a, 3),
+    "negative-answer": lambda a: _with_first_answer(a, -1),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(ANSWER_TAMPERS))
+def test_reconstruct_rejects_malformed_answer_set(tamper):
+    """Answers come from the servers: one tuple per server, one block per
+    round, as many answers as the block has sums, each an int in [0, q)."""
+    rng = random.Random(41)
+    ds = random_dataset(F3, 3, 8, rng)
+    run = run_jplc(2, ds, random_demand(F3, 3, 2, rng), rng)
+    args = (run.instance, run.randomness)
+    assert reconstruct(run.descriptor, run.answers, *args)
+    with pytest.raises(ValueError):
+        reconstruct(run.descriptor, ANSWER_TAMPERS[tamper](run.answers), *args)
+
+
 @pytest.mark.parametrize(
     "bad_sum",
     [
@@ -366,6 +396,37 @@ def test_download_report_rates():
     assert rep.achieves_capacity
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("reps", [1, 2, 3])
+@pytest.mark.parametrize("rows", [STACK_A, STACK_B, [[1]], [[1, 0], [0, 1], [1, 1]]])
+def test_repetitions_are_shifted_copies_of_one(rows, reps, n):
+    """Under the identity randomness each block of an r-repetition descriptor
+    is the sorted union of r copies of the one-repetition block, copy k with
+    its positions shifted by k N^M."""
+    stack = MatrixGF(rows, F3)
+    size = n**stack.nrows
+    t = reps * size
+    for theta in range(1, stack.nrows + 1):
+        one = generate_queries(
+            PlcInstance(n, stack, theta, size), identity_plc_randomness(size)
+        )
+        shifted = tuple(
+            tuple(
+                tuple(sorted(
+                    tuple((x, v + k * size, c) for x, v, c in wire_sum)
+                    for k in range(reps)
+                    for wire_sum in block
+                ))
+                for block in server
+            )
+            for server in one.per_server
+        )
+        many = generate_queries(
+            PlcInstance(n, stack, theta, t), identity_plc_randomness(t)
+        )
+        assert many.per_server == shifted
+
+
 def test_position_tables_partition_fresh_positions():
     """Every position 1..T appears exactly once as a fresh allocation."""
     for k_star in (1, 4):
@@ -419,16 +480,29 @@ def _sum_row(stack, s, theta):
     return row
 
 
+def _streams(mask, m):
+    """The subset a bitmask stands for, as a sorted tuple of streams."""
+    return tuple(x for x in range(1, m + 1) if mask >> (x - 1) & 1)
+
+
+def _meeting_basis(basis, m, ell):
+    """The round's subsets that meet B, as bitmasks."""
+    return [
+        mask for mask in range(1 << m) if mask.bit_count() == ell and mask & basis
+    ]
+
+
 @PROPERTY
 @given(full_rank_stacks())
 def test_trim_keeps_a_basis_of_every_round(case):
     stack, theta = case
     m, j_dim = stack.nrows, stack.ncols
-    kept, _ = _trim_tables(stack, theta)
+    basis, _ = _trim_tables(stack, theta)
     for ell in range(1, m + 1):
+        kept = _meeting_basis(basis, m, ell)
         count = comb(m, ell) - comb(m - j_dim, ell)
-        assert len(kept[ell]) == count
-        rows = [_sum_row(stack, s, theta) for s in kept[ell]]
+        assert len(kept) == count
+        rows = [_sum_row(stack, _streams(s, m), theta) for s in kept]
         assert rank(MatrixGF(rows, stack.field)) == count
 
 
@@ -437,8 +511,10 @@ def test_trim_keeps_a_basis_of_every_round(case):
 def test_trim_kept_set_ignores_theta(case):
     stack, _ = case
     kept_sets = {
-        tuple(map(tuple, _trim_tables(stack, theta)[0].values()))
-        for theta in range(1, stack.nrows + 1)
+        (basis, frozenset(drops))
+        for basis, drops in (
+            _trim_tables(stack, theta) for theta in range(1, stack.nrows + 1)
+        )
     }
     assert len(kept_sets) == 1
 
@@ -447,40 +523,34 @@ def test_trim_kept_set_ignores_theta(case):
 @given(full_rank_stacks())
 def test_trim_drops_are_exact_identities(case):
     stack, theta = case
-    q = stack.field.q
-    kept, drops = _trim_tables(stack, theta)
-    for ell, drops_ell in drops.items():
-        assert set(drops_ell).isdisjoint(kept[ell])
-        assert len(drops_ell) + len(kept[ell]) == comb(stack.nrows, ell)
+    q, m = stack.field.q, stack.nrows
+    basis, drops = _trim_tables(stack, theta)
+    for ell in range(1, m + 1):
+        kept = _meeting_basis(basis, m, ell)
+        drops_ell = {s: combo for s, combo in drops.items() if s.bit_count() == ell}
+        assert set(drops_ell).isdisjoint(kept)
+        assert len(drops_ell) + len(kept) == comb(m, ell)
         for s, combo in drops_ell.items():
-            expanded = [0] * len(_sum_row(stack, s, theta))
+            row = _sum_row(stack, _streams(s, m), theta)
+            expanded = [0] * len(row)
             for t, lam in combo:
-                assert t in kept[ell]
-                for i, v in enumerate(_sum_row(stack, t, theta)):
+                assert t in kept
+                for i, v in enumerate(_sum_row(stack, _streams(t, m), theta)):
                     expanded[i] = (expanded[i] + lam * v) % q
-            assert expanded == _sum_row(stack, s, theta)
+            assert expanded == row
 
 
 def _oracle(stack, theta):
-    """(kept, drops) straight from the wedge for (stack, theta): no cache, no
-    normalisation, no transport."""
-    m = stack.nrows
-    basis, wedge_drops = _wedge(stack, theta)
+    """(basis, drops) straight from the wedge for (stack, theta): no cache,
+    no normalisation, no transport."""
+    return _wedge(stack, theta)
 
-    def streams(mask):
-        return tuple(x for x in range(1, m + 1) if mask >> (x - 1) & 1)
 
-    kept = {
-        ell: [s for s in combinations(range(1, m + 1), ell)
-              if set(s) & set(streams(basis))]
-        for ell in range(1, m + 1)
-    }
-    drops = {ell: {} for ell in range(1, m + 1)}
-    for s, combo in wedge_drops:
-        drops[len(streams(s))][streams(s)] = tuple(
-            sorted((streams(t), c) for t, c in combo)
-        )
-    return kept, drops
+def _unordered(tables):
+    """Trim tables with each drop's terms sorted: a transported trim lists
+    them in the order of the normalised stack's wedge."""
+    basis, drops = tables
+    return basis, {s: sorted(combo) for s, combo in drops.items()}
 
 
 def _rescaled(stack, scales):
@@ -500,7 +570,9 @@ def test_transported_trim_equals_the_wedge(data):
     scales = [data.draw(st.integers(1, q - 1)) for _ in range(stack.nrows)]
     for case in (stack, _rescaled(stack, scales)):
         for theta in range(1, stack.nrows + 1):
-            assert _trim_tables(case, theta) == _oracle(case, theta)
+            assert _unordered(_trim_tables(case, theta)) == _unordered(
+                _oracle(case, theta)
+            )
 
 
 def _jplc_stack(k, d, q, rng):
@@ -533,7 +605,7 @@ def test_transported_trim_equals_the_wedge_on_encoder_stacks(shape, seed):
     build, k, d, q = shape
     stack = build(k, d, q, random.Random(seed))
     for theta in range(1, stack.nrows + 1):
-        assert _trim_tables(stack, theta) == _oracle(stack, theta)
+        assert _unordered(_trim_tables(stack, theta)) == _unordered(_oracle(stack, theta))
 
 
 def test_run_plans_once(monkeypatch):
@@ -557,7 +629,8 @@ def test_run_plans_once(monkeypatch):
     desc = generate_queries(inst, randomness)
     trims = _normalised_trim.cache_info()
     assert (trims.misses, trims.hits) == (1, 1)
-    assert inst.plan.drops == _oracle(stack, theta)[1]
+    basis, drops = _oracle(stack, theta)
+    assert _unordered((basis, inst.plan.drops)) == _unordered((basis, drops))
 
     monkeypatch.setattr(plc_engine, "_trim_tables", _oracle)
     _serialise.cache_clear()

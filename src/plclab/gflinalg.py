@@ -33,6 +33,14 @@ class VectorGF:
         )
         object.__setattr__(self, "field", field)
 
+    @classmethod
+    def of_reduced(cls, entries: Iterable[int], field: PrimeField) -> "VectorGF":
+        """Wrap ints the caller has already reduced into [0, q), unchecked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "entries", tuple(entries))
+        object.__setattr__(v, "field", field)
+        return v
+
     def __setattr__(self, name, value):
         raise AttributeError("VectorGF is immutable")
 

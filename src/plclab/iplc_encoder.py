@@ -13,6 +13,11 @@ and it is what the selection probabilities below are tuned for. A demand is
 planted either inside one plain row (algorithm 1, probability n D / K) or on
 one of the aligned supports (algorithm 2, probability (D + R) / K), so that
 every stream index ends up in the demanded support with probability D / K.
+
+Each support's combination has a closed form: plain row i is C = e_i, and the
+aligned support that drops segment t is C = w_t e_(n+1) - e_(n+2), since the
+two aligned rows carry a and w_i a on segment i, so C . G is (w_t - w_i) a
+there and vanishes exactly on segment t.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF, rank
-from .jplc_encoder import check_planted_demand, derive_combination_vectors
+from .jplc_encoder import check_planted_demand, scaled_combinations
 from .protocol_core import Demand
 
 
@@ -95,7 +100,8 @@ def algorithm_probabilities(num_streams: int, demand_size: int) -> Tuple[Fractio
         return Fraction(1), Fraction(0)
     p1 = Fraction(n * demand_size, num_streams)
     p2 = Fraction(demand_size + r, num_streams)
-    assert p1 + p2 == 1
+    if p1 + p2 != 1:
+        raise ValueError(f"route probabilities {p1} and {p2} do not sum to one")
     return p1, p2
 
 
@@ -284,11 +290,14 @@ def build_partition_matrix(
             rows[n][pi[slot - 1] - 1] = a
             rows[n + 1][pi[slot - 1] - 1] = (a * w_i) % field.q
     g = MatrixGF(rows, field)
-    assert rank(g) == len(rows)
+    if rank(g) != len(rows):
+        raise ValueError(f"generator rank is below its {len(rows)} rows")
 
     template = _template_supports(k, d, r, n, m)
     supports = tuple(tuple(sorted(pi[c - 1] for c in s)) for s in template)
-    u_list, c_list = derive_combination_vectors(g, supports)
+    plain = [[int(i == row) for i in range(len(rows))] for row in range(n)]
+    aligned = [[0] * n + [omegas[t - 1], -1] for t in range(m, 0, -1)]
+    u_list, c_list = scaled_combinations(g, supports, plain + aligned)
     out = IplcEncoderOutput(
         generator=g,
         supports=supports,

@@ -10,6 +10,11 @@ Two randomisation layers make that work: the evaluation points 0..K-1 are
 assigned to column slots by a uniformly random bijection, and each coded
 combination is normalised to leading coefficient one before leaving the
 encoder. The caller rescales the recovered stream by v_1 afterwards.
+
+Column j of G is alpha_j (1, w_j, ..., w_j^(J-1)) with J = K - D + 1, so the
+combination on a support S has the closed form C_S = the coefficients of the
+monic P_S(x) = prod_{j not in S} (x - w_j), lowest degree first: column j of
+C_S . G is alpha_j P_S(w_j), which vanishes exactly outside S.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .ffield import PrimeField
-from .gflinalg import MatrixGF, VectorGF, nullspace_basis, rank, support, vec_mat
+from .gflinalg import MatrixGF, VectorGF, rank
 from .protocol_core import Demand
 
 
@@ -56,38 +62,28 @@ def enumerate_supports(num_streams: int, demand_size: int) -> Tuple[Tuple[int, .
     return tuple(combinations(range(1, num_streams + 1), demand_size))
 
 
-def derive_combination_vectors(
-    g: MatrixGF, supports: Sequence[Tuple[int, ...]]
+def scaled_combinations(
+    g: MatrixGF,
+    supports: Sequence[Tuple[int, ...]],
+    coefficients: Sequence[Sequence[int]],
 ) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
-    """For each support, the unique leading-one row-space vector U_k on it and
-    the coefficients C_k with C_k . G = U_k.
+    """For each support S and its closed-form coefficients C_S, the row-space
+    vector U_S = C_S . G and C_S itself, both scaled so that U_S leads with one.
 
-    C_k spans the left kernel of G restricted to the columns outside the
-    support. Both encoders build G so that this kernel is one-dimensional
-    for every support they use; anything else is a ValueError.
+    Raises ValueError unless U_S is supported on exactly S.
     """
     field = g.field
+    q = field.q
+    cols = tuple(zip(*g.rows))
     u_list = []
     c_list = []
-    for s in supports:
-        inside = set(s)
-        # A zero row keeps the kernel's width when the support is every column.
-        outside = [
-            col for j, col in enumerate(zip(*g.rows), 1) if j not in inside
-        ] or [[0] * g.nrows]
-        basis = nullspace_basis(MatrixGF(outside, field))
-        if len(basis) != 1:
-            raise ValueError(
-                f"row space has {len(basis)} independent vectors vanishing "
-                f"outside {s}, not one"
-            )
-        c = basis[0]
-        u = vec_mat(c, g)
-        if support(u) != tuple(s):
+    for s, c in zip(supports, coefficients, strict=True):
+        u = [sum(map(mul, c, col)) % q for col in cols]
+        if tuple(j for j, x in enumerate(u, 1) if x) != tuple(s):
             raise ValueError(f"row space has no vector with support {s}")
-        lead_inv = field.inv(u.entries[s[0] - 1])
-        u_list.append(u.scale(lead_inv))
-        c_list.append(c.scale(lead_inv))
+        lead_inv = field.inv(u[s[0] - 1])
+        u_list.append(VectorGF.of_reduced([lead_inv * x % q for x in u], field))
+        c_list.append(VectorGF.of_reduced([lead_inv * x % q for x in c], field))
     return tuple(u_list), tuple(c_list)
 
 
@@ -96,11 +92,27 @@ def check_planted_demand(out) -> None:
     the demand, up to the leading-one normalisation factor 1/v_1."""
     demand = out.demand
     q = out.field.q
-    assert out.supports[out.demand_index - 1] == demand.indices
+    if out.supports[out.demand_index - 1] != demand.indices:
+        raise ValueError(
+            f"support {out.demand_index} is not the demanded {demand.indices}"
+        )
     u_star = out.row_space_vectors[out.demand_index - 1]
     v1_inv = out.field.inv(demand.coefficients.entries[0])
     for idx, v in zip(demand.indices, demand.coefficients.entries):
-        assert u_star.entries[idx - 1] == (v1_inv * v) % q
+        if u_star.entries[idx - 1] != (v1_inv * v) % q:
+            raise ValueError(f"combination at stream {idx} is not the demand's")
+
+
+def _vanishing_poly(col_omega, s, q):
+    """Coefficients, lowest degree first, of prod_{j not in S} (x - w_j)."""
+    inside = set(s)
+    poly = [1]
+    for j, w in enumerate(col_omega, 1):
+        if j not in inside:
+            poly = [
+                (lo - w * hi) % q for lo, hi in zip([0] + poly, poly + [0])
+            ]
+    return poly
 
 
 def build_grs_matrix(
@@ -154,35 +166,33 @@ def build_grs_matrix(
 
     coeffs = tuple(demand.coefficients.entries) + padding
 
-    alphas = []
-    for slot in range(1, k + 1):
-        w_j = omegas[slot - 1]
-        if slot <= d:
-            prod = 1
-            for other in range(d + 1, k + 1):
-                prod = (prod * (w_j - omegas[other - 1])) % field.q
-        else:
-            prod = 1
-            for other in range(1, k + 1):
-                if other != slot:
-                    prod = (prod * (w_j - omegas[other - 1])) % field.q
-        alpha = (coeffs[slot - 1] * field.inv(prod)) % field.q
-        assert alpha != 0
-        alphas.append(alpha)
-
     rows = [[0] * k for _ in range(j_rows)]
+    col_omega = [0] * k
     for slot in range(1, k + 1):
-        col = pi[slot - 1] - 1
         w_j = omegas[slot - 1]
+        # Demand slots divide out only the padding slots' points.
+        others = range(d + 1, k + 1) if slot <= d else range(1, k + 1)
+        prod = 1
+        for other in others:
+            if other != slot:
+                prod = (prod * (w_j - omegas[other - 1])) % field.q
+        alpha = (coeffs[slot - 1] * field.inv(prod)) % field.q
+        if alpha == 0:
+            raise ValueError(f"column multiplier of slot {slot} is zero")
+        col = pi[slot - 1] - 1
+        col_omega[col] = w_j
         power = 1
         for i in range(j_rows):
-            rows[i][col] = (alphas[slot - 1] * power) % field.q
+            rows[i][col] = (alpha * power) % field.q
             power = (power * w_j) % field.q
     g = MatrixGF(rows, field)
-    assert rank(g) == j_rows
+    if rank(g) != j_rows:
+        raise ValueError(f"generator rank is below its {j_rows} rows")
 
     supports = enumerate_supports(k, d)
-    u_list, c_list = derive_combination_vectors(g, supports)
+    u_list, c_list = scaled_combinations(
+        g, supports, [_vanishing_poly(col_omega, s, field.q) for s in supports]
+    )
     out = JplcEncoderOutput(
         generator=g,
         supports=supports,

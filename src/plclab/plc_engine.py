@@ -638,5 +638,6 @@ def expected_download(instance: PlcInstance) -> int:
     j_dim = instance.num_rows
     t_len = instance.stream_length
     total = Fraction(t_len) * sum(Fraction(1, n**i) for i in range(j_dim))
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ValueError(f"download {total} is not a whole number of symbols")
     return int(total)

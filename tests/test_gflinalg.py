@@ -28,6 +28,15 @@ def test_vector_basics():
     assert support(v) == (1, 3)
 
 
+def test_of_reduced_equals_checked_construction():
+    v = VectorGF.of_reduced([1, 0, 2], F3)
+    assert v == VectorGF([1, 0, 2], F3)
+    assert hash(v) == hash(VectorGF([4, 3, -1], F3))
+    assert type(v.entries) is tuple
+    with pytest.raises(AttributeError):
+        v.entries = (0, 0, 0)
+
+
 def test_matrix_row_column_one_based():
     m = MatrixGF([[1, 2], [0, 1], [2, 2]], F3)
     assert m.row(1).entries == (1, 2)

@@ -13,9 +13,11 @@ from plclab.iplc_encoder import (
     partition_shape,
     planted_slot_map,
 )
-from plclab.jplc_encoder import derive_combination_vectors
+from plclab.jplc_encoder import scaled_combinations
 from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import minimum_stream_length, run_iplc
+
+from kernel_oracle import derive_combination_vectors
 
 F3 = PrimeField(3)
 
@@ -176,8 +178,9 @@ def test_deterministic_given_draws():
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_kernel_solve_matches_support_search(q):
-    """The kernel solve returns exactly what the brute-force support search
-    returns, on every plain and aligned support, under both algorithms."""
+    """The encoder's combination vectors are exactly what the brute-force
+    support search returns, on every plain and aligned support, under both
+    algorithms."""
     field = PrimeField(q)
     rng = random.Random(q)
     for k, d in [(2, 1), (4, 2), (6, 3), (5, 2), (7, 2), (7, 3)]:
@@ -193,10 +196,56 @@ def test_kernel_solve_matches_support_search(q):
                 assert enc.algorithm_used == algorithm
                 g = enc.generator
                 found = [row_space_vector_with_support(g, s) for s in enc.supports]
-                assert derive_combination_vectors(g, enc.supports) == (
+                assert (enc.row_space_vectors, enc.combination_vectors) == (
                     tuple(u for u, _ in found),
                     tuple(c for _, c in found),
                 )
+
+
+@pytest.mark.parametrize(
+    "q, k, d",
+    [
+        (q, k, d)
+        for q in (2, 3, 5, 7, 2**61 - 1)
+        for k, d in [(2, 1), (4, 2), (6, 3), (6, 2), (5, 2), (7, 2), (7, 3), (9, 6)]
+        if q >= partition_shape(k, d)[2]  # the aligned rows need m points
+    ],
+)
+def test_closed_form_matches_kernel_oracle(q, k, d):
+    """Plain rows and aligned pairs equal the kernel solve's combinations on
+    every support, for every algorithm and every block pinned in turn."""
+    field = PrimeField(q)
+    rng = random.Random(q * k + d)
+    r, n, m = partition_shape(k, d)
+    routes = [(None, n)] if r == 0 else [(1, n), (2, m)]
+    for algorithm, blocks in routes:
+        for block in range(1, blocks + 1):
+            for _ in range(2):
+                demand = random_demand(field, k, d, rng)
+                enc = build_partition_matrix(
+                    demand, k, field, rng,
+                    IplcDraws(algorithm=algorithm, block_index=block),
+                )
+                assert (enc.algorithm_used, enc.block_index) == (algorithm, block)
+                assert (
+                    enc.row_space_vectors,
+                    enc.combination_vectors,
+                ) == derive_combination_vectors(enc.generator, enc.supports)
+
+
+def test_aligned_combination_with_another_omega_is_rejected():
+    """Mixing the aligned pair at the wrong point leaves the dropped segment
+    nonzero, and the support check refuses it."""
+    enc = _golden_encoder()  # n = 1, m = 3, omegas (2, 1, 0)
+    good = [c.entries for c in enc.combination_vectors]
+    assert scaled_combinations(enc.generator, enc.supports, good) == (
+        enc.row_space_vectors,
+        enc.combination_vectors,
+    )
+    # Support 2 drops segment m = 3 (omega 0); mix it at omega_1 = 2 instead.
+    wrong = good[:1] + [(0, 2, -1)] + good[2:]
+    with pytest.raises(ValueError, match="no vector with support"):
+        scaled_combinations(enc.generator, enc.supports, wrong)
 
 
 @pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1])

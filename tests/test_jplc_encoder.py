@@ -1,5 +1,10 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +19,14 @@ from plclab.gflinalg import (
 from plclab.jplc_encoder import (
     JplcDraws,
     build_grs_matrix,
-    derive_combination_vectors,
+    check_planted_demand,
     enumerate_supports,
+    scaled_combinations,
 )
 from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import minimum_stream_length, run_jplc
+
+from kernel_oracle import derive_combination_vectors
 
 F3 = PrimeField(3)
 
@@ -141,21 +149,94 @@ def test_derive_combination_vectors_requires_all_supports():
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_kernel_solve_matches_support_search(q):
-    """The kernel solve returns exactly what the brute-force support search
-    returns, on every support of every generator drawn."""
+    """The encoder's combination vectors are exactly what the brute-force
+    support search returns, on every support of every generator drawn."""
     field = PrimeField(q)
     rng = random.Random(q)
     for k in range(1, min(q, 5) + 1):
         for d in range(1, k + 1):
             for _ in range(3):
                 demand = random_demand(field, k, d, rng)
-                g = build_grs_matrix(2, demand, k, field, rng).generator
-                supports = enumerate_supports(k, d)
-                found = [row_space_vector_with_support(g, s) for s in supports]
-                assert derive_combination_vectors(g, supports) == (
+                enc = build_grs_matrix(2, demand, k, field, rng)
+                found = [
+                    row_space_vector_with_support(enc.generator, s)
+                    for s in enc.supports
+                ]
+                assert (enc.row_space_vectors, enc.combination_vectors) == (
                     tuple(u for u, _ in found),
                     tuple(c for _, c in found),
                 )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 2**61 - 1])
+def test_closed_form_matches_kernel_oracle(q):
+    """The vanishing-polynomial combinations equal the kernel solve's on every
+    support, for every shape the field admits and every demand size."""
+    field = PrimeField(q)
+    rng = random.Random(q)
+    for k in range(1, min(q, 6) + 1):
+        for d in range(1, k + 1):
+            for _ in range(3):
+                demand = random_demand(field, k, d, rng)
+                enc = build_grs_matrix(2, demand, k, field, rng)
+                assert enc.supports == enumerate_supports(k, d)
+                assert (
+                    enc.row_space_vectors,
+                    enc.combination_vectors,
+                ) == derive_combination_vectors(enc.generator, enc.supports)
+
+
+def test_wrong_combination_is_rejected():
+    """A polynomial that misses one of the outside roots leaves U nonzero
+    outside the support, and the support check refuses it."""
+    enc = _golden_encoder()
+    good = [c.entries for c in enc.combination_vectors]
+    assert scaled_combinations(enc.generator, enc.supports, good) == (
+        enc.row_space_vectors,
+        enc.combination_vectors,
+    )
+    wrong = [good[0], (1, 0), good[2]]  # x in place of x - w_3
+    with pytest.raises(ValueError, match=r"no vector with support \(1, 3\)"):
+        scaled_combinations(enc.generator, enc.supports, wrong)
+
+
+def test_planted_demand_check_rejects_shifted_index():
+    enc = _golden_encoder()
+    bad = dataclasses.replace(enc, demand_index=enc.demand_index % 3 + 1)
+    with pytest.raises(ValueError, match="is not the demanded"):
+        check_planted_demand(bad)
+
+
+def test_planted_demand_check_survives_optimised_mode():
+    """Under python -O bare asserts vanish; the planted-demand check must
+    still refuse an output whose demand index points at another support."""
+    script = (
+        "import dataclasses, random\n"
+        "from plclab import Demand, PrimeField, VectorGF\n"
+        "from plclab.jplc_encoder import JplcDraws, build_grs_matrix, "
+        "check_planted_demand\n"
+        "f = PrimeField(3)\n"
+        "enc = build_grs_matrix(2, Demand((1, 3), VectorGF([1, 2], f)), 3, f, "
+        "random.Random(0), JplcDraws((0, 1, 2), (1,)))\n"
+        "bad = dataclasses.replace(enc, demand_index=enc.demand_index % 3 + 1)\n"
+        "try:\n"
+        "    check_planted_demand(bad)\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
 
 
 @pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1])

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF
@@ -501,6 +501,10 @@ def audit_recoverability(
 # ---------------------------------------------------------------------------
 # Joint privacy.
 
+# Exhaustive joint audits stop beyond this many paths.
+_PATH_BUDGET = 2_000_000
+
+
 def audit_joint_privacy(
     num_servers: int,
     num_streams: int,
@@ -511,8 +515,6 @@ def audit_joint_privacy(
     mode: str = "exhaustive",
     samples: int = 10000,
     threshold: Optional[float] = None,
-    max_paths: int = 2_000_000,
-    repetitions: int = 1,
 ) -> AuditReport:
     """Are conditional view distributions identical across demanded supports?
 
@@ -532,7 +534,7 @@ def audit_joint_privacy(
     )
     views = _published_view
     if layer == "full":
-        stream_length = repetitions * minimum_stream_length(
+        stream_length = minimum_stream_length(
             "jplc", num_servers, num_streams, demand_size
         )
         paths = _with_queries(paths, mode, num_servers, stream_length, rng)
@@ -540,7 +542,7 @@ def audit_joint_privacy(
     return _judge(
         "joint-privacy", layer, mode, threshold, paths, views, supports,
         lambda s: (s,), None, {"supports": len(supports)},
-        max_paths if mode == "exhaustive" else None,
+        _PATH_BUDGET if mode == "exhaustive" else None,
     )
 
 
@@ -624,145 +626,67 @@ def audit_reduction_marginal(
 # ---------------------------------------------------------------------------
 # Engine-layer certificate: the canonical query patterns for any two demand
 # indices differ only by a position relabeling plus sign flips, which proves
-# the randomised queries are identically distributed.
+# the randomised queries are identically distributed. The engine's
+# construction fixes the map: sum i of a plan names the same (server, round,
+# subset, coordinate) for every target, so the certificate pairs sum i across
+# the two targets, reads the map off the pairs and verifies it on the
+# serialised patterns.
 
-class _ParityDSU:
-    def __init__(self):
-        self.parent: Dict[object, object] = {}
-        self.parity: Dict[object, int] = {}
-        self.size: Dict[object, int] = {}
-        self.trail: List[tuple] = []
+def _sum_map(pairs):
+    """(rho, flips) carrying the first sum of every pair onto the second, or
+    None.
 
-    def _ensure(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.parity[x] = 0
-            self.size[x] = 1
-            self.trail.append(("add", x))
-
-    def find(self, x):
-        p = 0
-        while self.parent[x] != x:
-            p ^= self.parity[x]
-            x = self.parent[x]
-        return x, p
-
-    def union(self, x, y, diff: int) -> bool:
-        """Impose parity(x) xor parity(y) == diff; False on conflict."""
-        self._ensure(x)
-        self._ensure(y)
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == diff
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-            px, py = py, px
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ diff
-        self.size[rx] += self.size[ry]
-        self.trail.append(("link", ry, rx))
-        return True
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            op = self.trail.pop()
-            if op[0] == "add":
-                del self.parent[op[1]]
-                del self.parity[op[1]]
-                del self.size[op[1]]
-            else:
-                _, child, root = op
-                self.size[root] -= self.size[child]
-                self.parent[child] = child
-                self.parity[child] = 0
-
-
-def _match_server_patterns(blocks_a, blocks_b):
-    """Search for (position bijection, sign flips) turning pattern a into b.
-
-    Returns (rho, flips) or None. Patterns are per-round tuples of serialised
-    sums under identity randomness.
+    pairs yields (sum_a, sum_b) tuples of (stream, position, sign) terms; a
+    sign may be any coefficient, only whether two of them differ counts.
+    Paired terms must share their stream, and rho must stay a bijection. The
+    flips two-colour the constraints flip(position) xor gauge(sum) = [signs
+    differ], where a sum's gauge is its free overall sign.
     """
-    groups = []
-    for block_a, block_b in zip(blocks_a, blocks_b):
-        by_streams_a: Dict[tuple, list] = {}
-        by_streams_b: Dict[tuple, list] = {}
-        for s in block_a:
-            by_streams_a.setdefault(tuple(t[0] for t in s), []).append(s)
-        for s in block_b:
-            by_streams_b.setdefault(tuple(t[0] for t in s), []).append(s)
-        if set(by_streams_a) != set(by_streams_b):
-            return None
-        for key in sorted(by_streams_a):
-            la, lb = by_streams_a[key], by_streams_b[key]
-            if len(la) != len(lb):
+    rho, rev, edges = {}, {}, {}
+    for j, (sum_a, sum_b) in enumerate(pairs):
+        for (ka, pa, ca), (kb, pb, cb) in zip(sum_a, sum_b):
+            if ka != kb or rho.setdefault(pa, pb) != pb or rev.setdefault(pb, pa) != pa:
                 return None
-            groups.append((la, lb))
-    rho: Dict[int, int] = {}
-    rev: Dict[int, int] = {}
-    dsu = _ParityDSU()
-    flat: List[tuple] = []
-    for gi, (la, lb) in enumerate(groups):
-        for ai, a_sum in enumerate(la):
-            flat.append((gi, ai, a_sum))
+            for x, y in ((pa, ~j), (~j, pa)):  # the gauge of sum j is node ~j
+                edges.setdefault(x, []).append((y, ca != cb))
+    colour = {}
+    for start in edges:
+        if start in colour:
+            continue
+        colour[start] = False
+        queue = [start]
+        for x in queue:
+            for y, diff in edges[x]:
+                c = colour[x] ^ diff
+                if y not in colour:
+                    colour[y] = c
+                    queue.append(y)
+                elif colour[y] != c:
+                    return None
+    return rho, {p for p in rho if colour[p]}
 
-    def undo(added, mark):
-        for pa in added:
-            del rev[rho[pa]]
-            del rho[pa]
-        dsu.rollback(mark)
 
-    def try_pair(a_sum, b_sum, gid):
-        added = []
-        mark = dsu.mark()
-        for (ka, pa, ca), (kb, pb, cb) in zip(a_sum, b_sum):
-            assert ka == kb
-            if rho.get(pa, pb) != pb or rev.get(pb, pa) != pa:
-                undo(added, mark)
-                return None
-            if pa not in rho:
-                rho[pa] = pb
-                rev[pb] = pa
-                added.append(pa)
-            diff = 0 if ca == cb else 1
-            if not dsu.union(("v", pa), ("g", gid), diff):
-                undo(added, mark)
-                return None
-        return added, mark
+def _engine_map(plan_a, plan_b, server: int, stream_length: int):
+    """(rho, flips) on served positions carrying server's (0-based) sums of
+    plan_a onto plan_b's, or None.
 
-    used: List[set] = [set() for _ in groups]
-
-    def backtrack(idx: int) -> bool:
-        if idx == len(flat):
-            return True
-        gi, ai, a_sum = flat[idx]
-        lb = groups[gi][1]
-        for bi, b_sum in enumerate(lb):
-            if bi in used[gi]:
-                continue
-            attempt = try_pair(a_sum, b_sum, (gi, ai))
-            if attempt is None:
-                continue
-            used[gi].add(bi)
-            if backtrack(idx + 1):
-                return True
-            used[gi].remove(bi)
-            undo(*attempt)
-        return False
-
-    if not backtrack(0):
+    Both plans keep the same sums, since the trim depends on the stack only.
+    Under identity randomness engine position v of repetition r is served at
+    v + r N^M + 1, so the map of one repetition repeats at each offset.
+    """
+    kept = plan_a.kept[server]
+    found = kept == plan_b.kept[server] and _sum_map(
+        (plan_a.sums[i], plan_b.sums[i]) for block in kept for i in block
+    )
+    if not found:
         return None
-    flips = set()
-    for key in list(dsu.parent):
-        if key[0] == "v":
-            _, parity = dsu.find(key)
-            if parity:
-                flips.add(key[1])
-    return dict(rho), flips
+    rho, flips = found
+    # N^M: the target's peel covers every position of a repetition.
+    shifts = range(1, stream_length + 1, len(plan_a.peel[0]))
+    return (
+        {v + r: w + r for v, w in rho.items() for r in shifts},
+        {v + r for v in flips for r in shifts},
+    )
 
 
 def apply_pattern_map(blocks, rho, flips, q: int):
@@ -795,25 +719,20 @@ def certify_engine_privacy(
     m = combination_matrix.nrows
     q = combination_matrix.field.q
     ident = identity_plc_randomness(stream_length)
-    patterns = []
+    plans, patterns = [], []
     for k_star in range(1, m + 1):
         instance = PlcInstance(
             num_servers, combination_matrix, k_star, stream_length
         )
+        plans.append(instance.plan)
         patterns.append(generate_queries(instance, ident).per_server)
     checked = 0
     failed = None
     for a, b in combinations(range(m), 2):
         for server in range(num_servers):
-            found = _match_server_patterns(
-                patterns[a][server], patterns[b][server]
-            )
-            if found is None:
-                failed = (a + 1, b + 1, server + 1)
-                break
-            rho, flips = found
-            if apply_pattern_map(
-                patterns[a][server], rho, flips, q
+            found = _engine_map(plans[a], plans[b], server, stream_length)
+            if found is None or apply_pattern_map(
+                patterns[a][server], *found, q
             ) != patterns[b][server]:
                 failed = (a + 1, b + 1, server + 1)
                 break

@@ -47,6 +47,7 @@ from .protocol_core import (
     iplc_capacity,
     jplc_capacity,
     random_dataset,
+    random_demand,
 )
 from .protocols import (
     InvariantViolation,
@@ -143,17 +144,23 @@ def read_transcript(path: str) -> dict:
         offset += 4
         if offset + length > len(blob):
             raise ValueError("truncated transcript")
-        payload[name] = json.loads(blob[offset : offset + length])
+        try:
+            payload[name] = json.loads(blob[offset : offset + length])
+        except RecursionError:
+            raise ValueError(f"transcript {name} nests too deeply") from None
         offset += length
     if offset != len(blob):
         raise ValueError("trailing bytes after final section")
     return payload
 
 
-def _tuplify(obj):
-    if isinstance(obj, list):
-        return tuple(_tuplify(item) for item in obj)
-    return obj
+def _tuplify(obj, depth: int, what: str):
+    """obj with its lists turned into tuples; they may nest depth deep."""
+    if not isinstance(obj, list):
+        return obj
+    if depth == 0:
+        raise ValueError(f"transcript {what} nests too deeply")
+    return tuple(_tuplify(item, depth - 1, what) for item in obj)
 
 
 def _transcript_payload(mode: str, args, dataset: Dataset, run, extra: dict) -> dict:
@@ -194,27 +201,26 @@ def _require_prime(q: int) -> PrimeField:
     return PrimeField(q)
 
 
-def _demand_size(args) -> int:
-    if args.support:
-        return len(_parse_int_list(args.support, "--support"))
-    if args.demand_size is None:
-        raise ValueError("either --support or --demand-size is required")
-    return args.demand_size
-
-
-def _make_demand(args, field: PrimeField, k: int, rng: random.Random) -> Demand:
+def _support(args) -> Tuple[Optional[List[int]], int]:
+    """The --support indices (None when drawn) and the demand size."""
     if args.support:
         indices = _parse_int_list(args.support, "--support")
-        if args.coeffs:
-            coeff_vals = _parse_int_list(args.coeffs, "--coeffs")
-            if len(coeff_vals) != len(indices):
-                raise ValueError("--coeffs must match --support in length")
-        else:
-            coeff_vals = [field.rand_nonzero_int(rng) for _ in indices]
-        return Demand(tuple(indices), VectorGF(coeff_vals, field))
-    indices = sorted(rng.sample(range(1, k + 1), args.demand_size))
-    coeff_vals = [field.rand_nonzero_int(rng) for _ in indices]
-    return Demand(tuple(indices), VectorGF(coeff_vals, field))
+        return indices, len(indices)
+    if args.demand_size is None:
+        raise ValueError("either --support or --demand-size is required")
+    return None, args.demand_size
+
+
+def _make_demand(args, indices, field: PrimeField, rng: random.Random) -> Demand:
+    if indices is None:
+        return random_demand(field, args.messages, args.demand_size, rng)
+    if args.coeffs:
+        coeff_vals = _parse_int_list(args.coeffs, "--coeffs")
+        if len(coeff_vals) != len(indices):
+            raise ValueError("--coeffs must match --support in length")
+    else:
+        coeff_vals = [field.rand_nonzero_int(rng) for _ in indices]
+    return Demand(indices, VectorGF(coeff_vals, field))
 
 
 def _side_info(args) -> Tuple[Optional[Tuple[int, ...]], int]:
@@ -255,7 +261,7 @@ def _run_mode(args, mode: str) -> Tuple[int, dict]:
         side, side_count = _side_info(args)
         demand_size = side_count + 1
     else:
-        demand_size = _demand_size(args)
+        support, demand_size = _support(args)
     t_len = args.t_mult * minimum_stream_length(
         protocol, args.servers, args.messages, demand_size
     )
@@ -283,7 +289,7 @@ def _run_mode(args, mode: str) -> Tuple[int, dict]:
         report.update(extra)
         extra["reduction"] = mode
     else:
-        demand = _make_demand(args, field, args.messages, rng)
+        demand = _make_demand(args, support, field, rng)
         runner = run_jplc if mode == "jplc" else run_iplc
         run = runner(args.servers, dataset, demand, rng, verify=True)
         recovered = list(run.recovered)
@@ -466,13 +472,13 @@ def _replay_mode(args) -> Tuple[int, dict]:
     )
     mismatch = None
     descriptor = generate_queries(instance, randomness)
-    if _tuplify(payload["queries"]) != descriptor.per_server:
+    if _tuplify(payload["queries"], 5, "queries") != descriptor.per_server:
         mismatch = "query descriptor mismatch"
     answers = None
     if mismatch is None:
         streams = coded_family_streams(generator, combos, dataset)
         answers = answer_queries(descriptor, streams)
-        if _tuplify(payload["answers"]) != answers:
+        if _tuplify(payload["answers"], 3, "answers") != answers:
             mismatch = "answer mismatch"
     if mismatch is None:
         try:

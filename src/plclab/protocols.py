@@ -73,7 +73,6 @@ def _run_engine(
     num_servers: int,
     rng: random.Random,
     capacity,
-    randomness: Optional[PlcRandomness],
     verify: bool,
 ) -> PlcRunResult:
     field = dataset.field
@@ -85,8 +84,7 @@ def _run_engine(
         demand_index=encoder.demand_index,
         stream_length=t_len,
     )
-    if randomness is None:
-        randomness = random_plc_randomness(t_len, rng)
+    randomness = random_plc_randomness(t_len, rng)
     descriptor = generate_queries(instance, randomness)
     streams = coded_family_streams(
         encoder.generator, encoder.combination_vectors, dataset
@@ -117,7 +115,6 @@ def run_jplc(
     demand: Demand,
     rng: random.Random,
     draws: Optional[JplcDraws] = None,
-    randomness: Optional[PlcRandomness] = None,
     verify: bool = False,
 ) -> PlcRunResult:
     """One joint-privacy run over a replicated dataset."""
@@ -126,7 +123,7 @@ def run_jplc(
     )
     capacity = jplc_capacity(num_servers, dataset.num_streams, demand.size)
     return _run_engine(
-        encoder, dataset, num_servers, rng, capacity, randomness, verify
+        encoder, dataset, num_servers, rng, capacity, verify
     )
 
 
@@ -136,7 +133,6 @@ def run_iplc(
     demand: Demand,
     rng: random.Random,
     draws: Optional[IplcDraws] = None,
-    randomness: Optional[PlcRandomness] = None,
     verify: bool = False,
 ) -> PlcRunResult:
     """One individual-privacy run over a replicated dataset."""
@@ -145,7 +141,7 @@ def run_iplc(
     )
     capacity = iplc_capacity(num_servers, dataset.num_streams, demand.size)
     return _run_engine(
-        encoder, dataset, num_servers, rng, capacity, randomness, verify
+        encoder, dataset, num_servers, rng, capacity, verify
     )
 
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import VectorGF
-from .plc_engine import PlcRandomness
 from .protocol_core import Dataset, Demand, RateReport
 from .protocols import PlcRunResult, run_iplc, run_jplc
 
@@ -97,11 +96,10 @@ def solve_pir_psi_via_jplc(
     dataset: Dataset,
     instance: SideInfoInstance,
     rng: random.Random,
-    randomness: Optional[PlcRandomness] = None,
 ) -> ReductionResult:
     """Fetch the target while hiding the target and side set jointly."""
     demand = _coded_demand(instance, dataset.field, rng)
-    run = run_jplc(num_servers, dataset, demand, rng, randomness=randomness)
+    run = run_jplc(num_servers, dataset, demand, rng)
     recovered = _peel_side_info(instance, demand, run.recovered, dataset.field)
     return ReductionResult(recovered, run.report, demand, run)
 
@@ -111,10 +109,9 @@ def solve_pir_si_via_iplc(
     dataset: Dataset,
     instance: SideInfoInstance,
     rng: random.Random,
-    randomness: Optional[PlcRandomness] = None,
 ) -> ReductionResult:
     """Fetch the target while hiding the target index only."""
     demand = _coded_demand(instance, dataset.field, rng)
-    run = run_iplc(num_servers, dataset, demand, rng, randomness=randomness)
+    run = run_iplc(num_servers, dataset, demand, rng)
     recovered = _peel_side_info(instance, demand, run.recovered, dataset.field)
     return ReductionResult(recovered, run.report, demand, run)

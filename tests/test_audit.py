@@ -1,13 +1,18 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plclab import plc_engine
 from plclab.audit import (
+    _engine_map,
     _judge,
-    _match_server_patterns,
     _paths,
+    _sum_map,
     apply_pattern_map,
     audit_individual_privacy,
     audit_joint_privacy,
@@ -22,6 +27,7 @@ from plclab.audit import (
 from plclab.ffield import PrimeField
 from plclab.gflinalg import MatrixGF
 from plclab.plc_engine import PlcInstance, generate_queries, identity_plc_randomness
+from test_plc_engine import full_rank_stacks
 
 F3 = PrimeField(3)
 
@@ -259,22 +265,34 @@ def _brute_force_isomorphic(blocks_a, blocks_b, t, q):
     return False
 
 
+def _patterns(n, stack, t):
+    """Each target's serialised pattern under identity randomness."""
+    return [
+        generate_queries(PlcInstance(n, stack, k, t), identity_plc_randomness(t)).per_server
+        for k in range(1, stack.nrows + 1)
+    ]
+
+
+def _in_order(blocks_a, blocks_b):
+    """The sums of two patterns paired block by block, in order."""
+    return [pair for a, b in zip(blocks_a, blocks_b) for pair in zip(a, b)]
+
+
 @pytest.mark.parametrize(
     "stack", [[[1], [2]], [[1], [1]], [[2], [1]]]
 )
 def test_matcher_agrees_with_brute_force_positive(stack):
     c = MatrixGF(stack, F3)
     t = 4
-    pats = [
-        generate_queries(PlcInstance(2, c, k, t), identity_plc_randomness(t)).per_server
-        for k in (1, 2)
-    ]
+    pats = _patterns(2, c, t)
+    plans = [PlcInstance(2, c, k, t).plan for k in (1, 2)]
     for server in range(2):
-        found = _match_server_patterns(pats[0][server], pats[1][server])
+        found = _engine_map(plans[0], plans[1], server, t)
         brute = _brute_force_isomorphic(pats[0][server], pats[1][server], t, 3)
         assert brute, "engine patterns must be isomorphic across demands"
         assert found is not None
         rho, flips = found
+        assert len(set(rho.values())) == len(rho)
         assert (
             apply_pattern_map(pats[0][server], rho, flips, 3)
             == pats[1][server]
@@ -298,14 +316,58 @@ def test_matcher_rejects_parity_contradiction():
             ((2, 2, 1), (3, 3, 1)),
         ),
     )
-    assert _match_server_patterns(blocks_a, blocks_b) is None
+    assert _sum_map(_in_order(blocks_a, blocks_b)) is None
     assert not _brute_force_isomorphic(blocks_a, blocks_b, 3, 3)
 
 
 def test_matcher_rejects_stream_shape_mismatch():
     blocks_a = ((((1, 1, 1),), ((2, 2, 1),)),)
     blocks_b = ((((1, 1, 1),), ((3, 2, 1),)),)
-    assert _match_server_patterns(blocks_a, blocks_b) is None
+    assert _sum_map(_in_order(blocks_a, blocks_b)) is None
+
+
+def test_matcher_rejects_a_position_used_twice():
+    # Pairing in order would send positions 1 and 2 both to position 1.
+    blocks_a = ((((1, 1, 1),), ((2, 2, 1),)),)
+    blocks_b = ((((1, 1, 1),), ((2, 1, 1),)),)
+    assert _sum_map(_in_order(blocks_a, blocks_b)) is None
+
+
+@pytest.fixture
+def leaking_engine(monkeypatch):
+    """An engine whose round-ell sums reuse the same server's previous-round
+    positions instead of the other servers': the target's sums then share
+    positions a server can see, so its view depends on the target."""
+    monkeypatch.setattr(plc_engine, "_other_servers", lambda s, n: [s] * (n - 1))
+    plc_engine._build_skeleton.cache_clear()
+    plc_engine._serialise.cache_clear()
+    yield
+    plc_engine._build_skeleton.cache_clear()
+    plc_engine._serialise.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "n,stack,t", [(2, [[1], [2]], 4), (2, [[1, 2], [1, 1], [0, 1]], 8), (3, [[1], [2], [1]], 27)]
+)
+def test_certificate_fails_on_a_leaking_engine(leaking_engine, n, stack, t):
+    c = MatrixGF(stack, F3)
+    rep = certify_engine_privacy(n, c, t)
+    assert not rep.passed
+    assert rep.details["failed"] == repr((1, 2, 1))
+    assert rep.weight == 0
+    if t == 4:
+        pats = _patterns(n, c, t)
+        assert not _brute_force_isomorphic(pats[0][0], pats[1][0], t, 3)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(full_rank_stacks(max_streams=4), st.sampled_from((2, 3)), st.sampled_from((1, 2)))
+def test_certificate_passes_on_random_stacks(case, n, reps):
+    stack, _ = case
+    m = stack.nrows
+    rep = certify_engine_privacy(n, stack, reps * n**m)
+    assert rep.passed, rep.details
+    assert rep.weight == comb(m, 2) * n
 
 
 def test_certify_engine_privacy_on_worked_stacks():

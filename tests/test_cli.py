@@ -400,6 +400,31 @@ def test_replay_rejects_malformed_section(tmp_path, capsys, tamper):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_replay_rejects_a_deeply_nested_section(tmp_path, capsys, depth):
+    """Lists nested past the interpreter's recursion limit are a malformed
+    section, not a crash: 900 deep used to fail while turning the queries
+    into tuples and 5000 deep inside the JSON decoder."""
+    path = tmp_path / "run.plct"
+    code, _ = _run(
+        capsys,
+        [
+            "--mode", "jplc", "--messages", "3", "--field", "3",
+            "--support", "1,3", "--seed", "9", "--transcript", str(path),
+        ],
+    )
+    assert code == EXIT_OK
+    payload = read_transcript(str(path))
+    blob = bytearray(path.read_bytes()[:_HEADER])
+    for name, value in payload.items():
+        data = ("[" * depth + "]" * depth if name == "queries" else json.dumps(value)).encode()
+        blob += struct.pack(">I", len(data)) + data
+    path.write_bytes(bytes(blob))
+    code = main(["--mode", "replay", "--transcript", str(path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: transcript queries nests too deeply\n"
+
+
 def test_large_field_run_and_replay(tmp_path, capsys):
     path = tmp_path / "wide.plct"
     code, out = _run(

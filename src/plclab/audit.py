@@ -14,7 +14,9 @@ so the reported statistic accumulates only deviations that clear a
 three-sigma allowance for the view's sample count, weighted by view mass.
 
 The server view at the encoder layer is the published pair (G, C_1..C_M).
-The full layer appends the server's serialised query blocks.
+The full layer appends the server's serialised query blocks. It is
+exhaustive only: the queries range over T! 2^T draws, so sampled views
+almost never repeat, and a view seen once never clears the allowance.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .plc_engine import (
     PlcRandomness,
     generate_queries,
     identity_plc_randomness,
-    random_plc_randomness,
 )
 from .protocol_core import Demand, random_demand, random_dataset
 from .protocols import minimum_stream_length, run_iplc, run_jplc
@@ -67,18 +68,6 @@ class AuditReport:
             f"{self.statistic:.6g} threshold={self.threshold:g} "
             f"views={self.num_views} weight={self.weight} {verdict}"
         )
-
-
-def encoder_view(encoder) -> tuple:
-    """The published artifact: generator rows and combination vectors."""
-    return (
-        encoder.generator.rows,
-        tuple(cv.entries for cv in encoder.combination_vectors),
-    )
-
-
-def server_full_view(encoder, descriptor, server: int) -> tuple:
-    return encoder_view(encoder) + (descriptor.per_server[server - 1],)
 
 
 _DUMMY = random.Random(0)
@@ -168,29 +157,11 @@ def enumerate_iplc_paths(
                             yield w, demand, enc
 
 
-def _paths_for(
-    protocol: str,
-    support: Tuple[int, ...],
-    num_servers: int,
-    num_streams: int,
-    field: PrimeField,
-):
-    if protocol == "jplc":
-        return enumerate_jplc_paths(support, num_servers, num_streams, field)
-    if protocol == "iplc":
-        return enumerate_iplc_paths(support, num_streams, field)
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
 # ---------------------------------------------------------------------------
 # The audit engine: path sources, collection, statistics.
 
-def _encoder(protocol, num_servers, demand, num_streams, field, rng):
-    if protocol == "jplc":
-        return build_grs_matrix(num_servers, demand, num_streams, field, rng)
-    if protocol == "iplc":
-        return build_partition_matrix(demand, num_streams, field, rng)
-    raise ValueError(f"unknown protocol {protocol!r}")
+# Exhaustive audits stop beyond this many paths.
+_PATH_BUDGET = 2_000_000
 
 
 def _paths(
@@ -202,71 +173,76 @@ def _paths(
     every encoder run of every pair, weighted by its probability given the
     support. Sampled mode runs the encoder `samples` times, each on a pair
     from draw(rng) (a uniform pick by default) with fresh coefficients.
+    Bad inputs raise here, before any path is drawn.
     """
-    if mode == "exhaustive":
-        for label, support in labelled:
-            for w, _, enc in _paths_for(
-                protocol, support, num_servers, num_streams, field
-            ):
-                yield w, label, enc
-        return
-    if mode != "sampled":
-        raise ValueError("mode must be 'exhaustive' or 'sampled'")
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    for _ in range(samples):
-        if draw is None:
-            label, support = labelled[rng.randrange(len(labelled))]
-        else:
-            label, support = draw(rng)
-        coefficients = [field.rand_nonzero_int(rng) for _ in support]
-        demand = Demand(support, VectorGF(coefficients, field))
-        yield 1, label, _encoder(
-            protocol, num_servers, demand, num_streams, field, rng
-        )
-
-
-def _checked(labelled, num_servers, num_streams, mode, samples):
-    """labelled, once there is something to audit: N >= 1, K >= 1, a
-    nonempty label set and, in sampled mode, at least one sample."""
     if num_servers < 1:
         raise ValueError("need at least one server")
     if num_streams < 1 or not labelled:
         raise ValueError(f"no demand to audit at K = {num_streams}: the label set is empty")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError("mode must be 'exhaustive' or 'sampled'")
     if mode == "sampled" and samples < 1:
         raise ValueError(f"sampled mode needs at least one sample, got {samples}")
-    return labelled
+    if mode == "sampled" and rng is None:
+        raise ValueError("sampled mode needs an rng")
+    n, k = num_servers, num_streams
+    # The encoders are looked up when a path is built, so a patched module
+    # attribute (a tracer's, say) is the one called.
+    if protocol == "jplc":
+        runs = lambda support: enumerate_jplc_paths(support, n, k, field)
+        build = lambda demand: build_grs_matrix(n, demand, k, field, rng)
+    elif protocol == "iplc":
+        runs = lambda support: enumerate_iplc_paths(support, k, field)
+        build = lambda demand: build_partition_matrix(demand, k, field, rng)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if mode == "exhaustive":
+        return (
+            (w, label, enc)
+            for label, support in labelled
+            for w, _, enc in runs(support)
+        )
+    draw = draw or (lambda r: labelled[r.randrange(len(labelled))])
+
+    def sampled():
+        for _ in range(samples):
+            label, support = draw(rng)
+            coefficients = [field.rand_nonzero_int(rng) for _ in support]
+            yield 1, label, build(Demand(support, VectorGF(coefficients, field)))
+
+    return sampled()
 
 
-def _with_queries(paths, mode, num_servers, stream_length, rng):
-    """Extend encoder paths by the engine's query randomness: every (position
-    map, signs) pair with its exact weight when exhaustive, one draw when
-    sampled. Yields (weight, label, (encoder, descriptor))."""
+def _with_queries(paths, num_servers, stream_length):
+    """Extend encoder paths by every (position map, signs) pair of the
+    engine's query randomness, with its exact weight. Yields (weight, label,
+    (encoder, descriptor))."""
+    per_draw = Fraction(1, math.factorial(stream_length) * 2**stream_length)
     for w, label, enc in paths:
         stack = MatrixGF([cv.entries for cv in enc.combination_vectors], enc.field)
         instance = PlcInstance(num_servers, stack, enc.demand_index, stream_length)
-        if mode == "exhaustive":
-            w = w * Fraction(1, math.factorial(stream_length) * 2**stream_length)
-            draws = (
-                PlcRandomness(tau, signs)
-                for tau in permutations(range(1, stream_length + 1))
-                for signs in product((1, -1), repeat=stream_length)
-            )
-        else:
-            draws = (random_plc_randomness(stream_length, rng),)
-        for randomness in draws:
-            yield w, label, (enc, generate_queries(instance, randomness))
+        w = w * per_draw
+        for tau in permutations(range(1, stream_length + 1)):
+            for signs in product((1, -1), repeat=stream_length):
+                descriptor = generate_queries(instance, PlcRandomness(tau, signs))
+                yield w, label, (enc, descriptor)
+
+
+def _encoder_view(enc) -> tuple:
+    """The published artifact: generator rows and combination vectors."""
+    return (enc.generator.rows, tuple(cv.entries for cv in enc.combination_vectors))
 
 
 def _published_view(enc) -> tuple:
-    return ((0, encoder_view(enc)),)
+    return ((0, _encoder_view(enc)),)
 
 
 def _served_views(path) -> tuple:
     enc, descriptor = path
+    published = _encoder_view(enc)
     return tuple(
-        (server, server_full_view(enc, descriptor, server))
-        for server in range(1, descriptor.num_servers + 1)
+        (server, published + (blocks,))
+        for server, blocks in enumerate(descriptor.per_server, 1)
     )
 
 
@@ -399,14 +375,13 @@ def debiased_pairwise_tv_statistic(
 
 
 def _judge(
-    kind, layer, mode, threshold, paths, views, labels, members, target, details,
-    max_paths=None,
+    kind, layer, mode, threshold, paths, views, labels, members, target, details
 ) -> AuditReport:
     """Collect the paths and test the labels' conditional view laws: with
     target None they must coincide pairwise, otherwise every label must keep
     posterior `target` in every view, a path counting for each label that
-    members(path label) names."""
-    mass, weight = collect(paths, views, max_paths)
+    members(path label) names. Exhaustive paths stop at _PATH_BUDGET."""
+    mass, weight = collect(paths, views, _PATH_BUDGET if mode == "exhaustive" else None)
     counts = _member_counts(mass, members)
     if mode == "exhaustive":
         if threshold is None:
@@ -501,10 +476,6 @@ def audit_recoverability(
 # ---------------------------------------------------------------------------
 # Joint privacy.
 
-# Exhaustive joint audits stop beyond this many paths.
-_PATH_BUDGET = 2_000_000
-
-
 def audit_joint_privacy(
     num_servers: int,
     num_streams: int,
@@ -521,28 +492,30 @@ def audit_joint_privacy(
     Exhaustive mode compares exact conditional distributions (one per
     support) and reports the worst pairwise total variation, which must be
     exactly zero. Sampled mode estimates the same quantity with the debiased
-    pairwise statistic.
+    pairwise statistic, at the encoder layer only (see the module docstring).
     """
     supports = list(combinations(range(1, num_streams + 1), demand_size))
     if layer not in ("encoder", "full"):
         raise ValueError("layer must be 'encoder' or 'full'")
-    labelled = _checked(
-        [(s, s) for s in supports], num_servers, num_streams, mode, samples
-    )
+    if layer == "full" and mode == "sampled":
+        raise ValueError(
+            "the full layer is exhaustive only: sampled query views almost "
+            "never repeat, so a sampled audit cannot see a leak"
+        )
     paths = _paths(
-        mode, "jplc", labelled, num_servers, num_streams, field, rng, samples
+        mode, "jplc", [(s, s) for s in supports], num_servers, num_streams,
+        field, rng, samples,
     )
     views = _published_view
     if layer == "full":
         stream_length = minimum_stream_length(
             "jplc", num_servers, num_streams, demand_size
         )
-        paths = _with_queries(paths, mode, num_servers, stream_length, rng)
+        paths = _with_queries(paths, num_servers, stream_length)
         views = _served_views
     return _judge(
         "joint-privacy", layer, mode, threshold, paths, views, supports,
         lambda s: (s,), None, {"supports": len(supports)},
-        _PATH_BUDGET if mode == "exhaustive" else None,
     )
 
 
@@ -563,10 +536,7 @@ def audit_individual_privacy(
     """Does every stream index keep membership probability D / K given the
     encoder view, under the uniform demand prior?"""
     k, d = num_streams, demand_size
-    labelled = _checked(
-        [(s, s) for s in combinations(range(1, k + 1), d)],
-        num_servers, k, mode, samples,
-    )
+    labelled = [(s, s) for s in combinations(range(1, k + 1), d)]
     target = Fraction(d, k)
     paths = _paths(
         mode, protocol, labelled, num_servers, k, field, rng, samples
@@ -599,12 +569,12 @@ def audit_reduction_marginal(
     protocol = "jplc" if reduction == "pir-psi" else "iplc"
     k = num_streams
     # Uniform over (side set, target) pairs; the label is the target.
-    labelled = _checked([
+    labelled = [
         (i_star, tuple(sorted(side + (i_star,))))
         for side in combinations(range(1, k + 1), num_side)
         for i_star in range(1, k + 1)
         if i_star not in side
-    ], num_servers, k, mode, samples)
+    ]
     target = Fraction(1, k)
 
     def draw(r: random.Random):

@@ -7,8 +7,8 @@ Modes:
   audit              run a privacy / recoverability / marginal audit
   replay             re-execute a saved transcript and verify it bit-exactly
 
-A JSON report always goes to --out (or stdout). With --format csv the
-capacity-table mode additionally writes a CSV table next to --out.
+A JSON report always goes to --out (or stdout). Only capacity-table takes
+--format csv, which additionally writes a CSV table next to --out.
 
 Exit codes: 0 success, 1 usage error, 2 audit failure, 3 invariant
 violation (including replay mismatches).
@@ -17,6 +17,7 @@ violation (including replay mismatches).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -26,7 +27,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .audit import (
-    AuditReport,
     audit_individual_privacy,
     audit_joint_privacy,
     audit_recoverability,
@@ -213,6 +213,8 @@ def _support(args) -> Tuple[Optional[List[int]], int]:
 
 def _make_demand(args, indices, field: PrimeField, rng: random.Random) -> Demand:
     if indices is None:
+        if args.coeffs:
+            raise ValueError("--coeffs needs --support: a drawn demand draws its coefficients")
         return random_demand(field, args.messages, args.demand_size, rng)
     if args.coeffs:
         coeff_vals = _parse_int_list(args.coeffs, "--coeffs")
@@ -353,76 +355,27 @@ def _capacity_csv(report: dict) -> str:
 def _audit_mode(args) -> Tuple[int, dict]:
     field = _require_prime(args.field)
     rng = random.Random(args.seed)
-    kind = args.audit_kind
-    sampling = args.audit_sampling
-    d = args.demand_size
-    if kind in ("joint", "individual") and d is None:
+    kind, size = args.audit_kind, args.demand_size
+    if kind in ("pir-psi", "pir-si"):
+        size = 1 if args.side_count is None else args.side_count
+    elif size is None:
         raise ValueError("--demand-size is required for this audit")
+    shape = (args.servers, args.messages, size, field)
+    sampling = dict(
+        rng=rng, mode=args.audit_sampling, samples=args.samples, threshold=args.tv_threshold
+    )
     if kind == "joint":
-        rep: AuditReport = audit_joint_privacy(
-            args.servers,
-            args.messages,
-            d,
-            field,
-            rng=rng,
-            layer=args.audit_layer,
-            mode=sampling,
-            samples=args.samples,
-            threshold=args.tv_threshold,
-        )
+        rep = audit_joint_privacy(*shape, layer=args.audit_layer, **sampling)
     elif kind == "individual":
-        rep = audit_individual_privacy(
-            args.servers,
-            args.messages,
-            d,
-            field,
-            rng=rng,
-            protocol=args.protocol,
-            mode=sampling,
-            samples=args.samples,
-            threshold=args.tv_threshold,
-        )
-    elif kind in ("pir-psi", "pir-si"):
-        side = args.side_count if args.side_count is not None else 1
-        rep = audit_reduction_marginal(
-            kind,
-            args.servers,
-            args.messages,
-            side,
-            field,
-            rng=rng,
-            mode=sampling,
-            samples=args.samples,
-            threshold=args.tv_threshold,
-        )
+        rep = audit_individual_privacy(*shape, protocol=args.protocol, **sampling)
     elif kind == "recoverability":
-        if d is None:
-            raise ValueError("--demand-size is required for this audit")
         rep = audit_recoverability(
-            args.protocol,
-            args.servers,
-            args.messages,
-            d,
-            field,
-            rng,
-            trials=args.trials,
-            repetitions=args.t_mult,
+            args.protocol, *shape, rng, trials=args.trials, repetitions=args.t_mult
         )
     else:
-        raise ValueError(f"unknown audit kind {kind!r}")
-    report = {
-        "mode": "audit",
-        "kind": rep.kind,
-        "layer": rep.layer,
-        "sampling": rep.mode,
-        "passed": rep.passed,
-        "statistic": rep.statistic,
-        "threshold": rep.threshold,
-        "weight": rep.weight,
-        "num_views": rep.num_views,
-        "details": {k: v for k, v in rep.details.items()},
-        "seed": args.seed,
-    }
+        rep = audit_reduction_marginal(kind, *shape, **sampling)
+    report = dataclasses.asdict(rep)
+    report.update(mode="audit", sampling=rep.mode, seed=args.seed)
     return (EXIT_OK if rep.passed else EXIT_AUDIT_FAILURE), report
 
 
@@ -561,7 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["joint", "individual", "pir-psi", "pir-si", "recoverability"],
         default="joint",
     )
-    parser.add_argument("--audit-layer", choices=["encoder", "full"], default="encoder")
+    parser.add_argument(
+        "--audit-layer", choices=["encoder", "full"], default="encoder",
+        help="full adds each server's queries to the view; exhaustive only, "
+        "since sampled query views almost never repeat",
+    )
     parser.add_argument(
         "--audit-sampling", choices=["exhaustive", "sampled"], default="exhaustive"
     )
@@ -587,6 +544,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for flag in ("servers", "messages", "t_mult"):
             if getattr(args, flag) < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
+        if args.format == "csv" and args.mode != "capacity-table":
+            raise ValueError("--format csv applies to capacity-table only")
         if args.mode in ("jplc", "iplc", "pir-psi", "pir-si"):
             code, report = _run_mode(args, args.mode)
         elif args.mode == "capacity-table":
@@ -607,7 +566,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write(text + "\n")
     else:
         print(text)
-    if args.format == "csv" and args.mode == "capacity-table":
+    if args.format == "csv":
         csv_text = _capacity_csv(report)
         if args.out:
             with open(args.out + ".csv", "w", encoding="utf-8") as handle:

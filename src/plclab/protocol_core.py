@@ -181,24 +181,25 @@ def iplc_capacity(num_servers: int, num_streams: int, demand_size: int) -> Ratio
 
 
 def jplt_bounds(
-    num_servers: int, num_streams: int, demand_size: int, num_candidates: int
+    num_servers: int, num_streams: int, demand_size: int, num_combinations: int
 ) -> Tuple[Optional[Rational], Rational]:
-    """Capacity bounds when the demand is known to lie in a public list of
-    num_candidates linearly independent combinations.
+    """Capacity bounds under joint privacy when the user wants to compute
+    num_combinations (the paper's L) linear combinations of the D demanded
+    messages, rather than one.
 
-    Returns (upper, lower). The upper bound is only available when the list
-    size divides K - D; otherwise it is None.
+    Returns (upper, lower): upper = (1 + 1/N + ... + 1/N^((K-D)/L))^-1, or
+    None unless L divides K - D, and lower = (1 + ... + 1/N^(K-D+L-1))^-1.
     """
     if not 1 <= demand_size <= num_streams:
         raise ValueError("demand size must lie in [1, K]")
-    if num_candidates < 1:
-        raise ValueError("candidate list must be nonempty")
+    if num_combinations < 1:
+        raise ValueError("need at least one combination")
     slack = num_streams - demand_size
     upper = None
-    if slack % num_candidates == 0:
-        upper = _inverse_geometric_sum(num_servers, slack // num_candidates)
+    if slack % num_combinations == 0:
+        upper = _inverse_geometric_sum(num_servers, slack // num_combinations)
     lower = _inverse_geometric_sum(
-        num_servers, slack + num_candidates - 1
+        num_servers, slack + num_combinations - 1
     )
     return upper, lower
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plclab import plc_engine
+from plclab import audit, plc_engine
 from plclab.audit import (
     _engine_map,
     _judge,
@@ -110,6 +110,36 @@ def test_joint_privacy_sampled_small():
 def test_sampled_mode_requires_rng():
     with pytest.raises(ValueError):
         audit_joint_privacy(2, 3, 2, F3, mode="sampled")
+
+
+def test_full_layer_refuses_sampled_mode():
+    """Sampled full views almost never repeat, so that audit could not see a
+    leak; it is refused rather than reported."""
+    with pytest.raises(ValueError, match="exhaustive only"):
+        audit_joint_privacy(
+            2, 2, 1, F3, rng=random.Random(1), layer="full", mode="sampled", samples=10
+        )
+
+
+@pytest.mark.parametrize(
+    "audit_call",
+    [
+        lambda: audit_joint_privacy(2, 3, 2, F3),
+        lambda: audit_individual_privacy(2, 4, 2, F3, protocol="iplc"),
+        lambda: audit_reduction_marginal("pir-psi", 2, 3, 1, F3),
+    ],
+    ids=["joint", "individual", "reduction"],
+)
+def test_every_exhaustive_audit_stops_at_the_path_budget(monkeypatch, audit_call):
+    monkeypatch.setattr(audit, "_PATH_BUDGET", 5)
+    with pytest.raises(ValueError, match="path budget exceeded"):
+        audit_call()
+
+
+def test_the_path_budget_leaves_sampled_audits_alone(monkeypatch):
+    monkeypatch.setattr(audit, "_PATH_BUDGET", 5)
+    rep = audit_joint_privacy(2, 3, 2, F3, rng=random.Random(1), mode="sampled", samples=50)
+    assert rep.weight == 50
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -344,6 +374,13 @@ def leaking_engine(monkeypatch):
     yield
     plc_engine._build_skeleton.cache_clear()
     plc_engine._serialise.cache_clear()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_full_layer_fails_a_leaking_engine(leaking_engine, q):
+    rep = audit_joint_privacy(2, 2, 1, PrimeField(q), layer="full")
+    assert not rep.passed
+    assert rep.details["exact_statistic"] == "1"
 
 
 @pytest.mark.parametrize(

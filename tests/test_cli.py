@@ -204,10 +204,13 @@ def _bad_demand(draw):
     w = draw(st.lists(st.integers(1, k), min_size=1, max_size=k, unique=True))
     mode = draw(st.sampled_from(["jplc", "iplc"]))
     args = [f"--mode={mode}", f"--messages={k}", "--field=5"]
-    fault = draw(st.sampled_from(["range", "repeat", "coeffs"]))
+    fault = draw(st.sampled_from(["range", "repeat", "coeffs", "drawn"]))
     if fault == "coeffs":
         n = draw(st.integers(1, k + 1).filter(lambda n: n != len(w)))
         return args + [f"--support={_csv(w)}", f"--coeffs={_csv([1] * n)}"]
+    if fault == "drawn":
+        # Coefficients for a drawn support would be silently ignored.
+        return args + [f"--demand-size={len(w)}", f"--coeffs={_csv([1] * len(w))}"]
     if fault == "range":
         w.append(draw(st.sampled_from([0, -1, k + 1, k + 2])))
     else:
@@ -238,13 +241,25 @@ def _bad_side_info(draw):
     return args + ["--side-info=1,1"]
 
 
+@st.composite
+def _unsupported_option(draw):
+    """A valid run asked for something it cannot give: CSV outside the
+    capacity table, or a sampled audit of the full layer."""
+    if draw(st.booleans()):
+        return ["--mode=audit", "--audit-kind=joint", "--messages=2", "--demand-size=1",
+                "--audit-layer=full", "--audit-sampling=sampled", "--samples=10"]
+    base = draw(st.sampled_from(list(_RUNS.values()) + _AUDITS + [["--mode=replay"]]))
+    return base + ["--format=csv"]
+
+
 def _csv(values):
     return ",".join(str(v) for v in values)
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(st.one_of(
-    _bad_count(), _bad_field(), _bad_demand(), _small_field_jplc(), _bad_side_info()
+    _bad_count(), _bad_field(), _bad_demand(), _small_field_jplc(), _bad_side_info(),
+    _unsupported_option(),
 ))
 def test_bad_arguments_exit_1_with_an_error_line(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -6,12 +6,13 @@ given the view, under individual privacy every stream index is demanded with
 probability D / K, and a reduction's hidden target stays uniform. One engine
 checks them all. A path source yields (weight, label, artifact) paths,
 `collect` adds up mass per (view, label), and a statistic compares the
-labels' conditional view laws. Exhaustive audits enumerate every run with
-its exact probability and compare exact rationals; they either certify a
-guarantee outright or exhibit a counterexample. Sampled audits estimate the
-same posteriors from finitely many runs; raw per-view frequencies are noisy,
-so the reported statistic accumulates only deviations that clear a
-three-sigma allowance for the view's sample count, weighted by view mass.
+labels' conditional view laws. Exhaustive audits walk every outcome of the
+encoders' own draws with its exact probability and compare exact rationals;
+they either certify a guarantee outright or exhibit a counterexample.
+Sampled audits estimate the same posteriors from finitely many runs; raw
+per-view frequencies are noisy, so the reported statistic accumulates only
+deviations that clear a three-sigma allowance for the view's sample count,
+weighted by view mass.
 
 The server view at the encoder layer is the published pair (G, C_1..C_M).
 The full layer appends the server's serialised query blocks. It is
@@ -25,20 +26,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF
-from .iplc_encoder import (
-    IplcDraws,
-    algorithm_probabilities,
-    build_partition_matrix,
-    free_alpha_positions,
-    partition_shape,
-    planted_slot_map,
-)
-from .jplc_encoder import JplcDraws, build_grs_matrix
+from .iplc_encoder import build_partition_matrix
+from .jplc_encoder import build_grs_matrix
 from .plc_engine import (
     PlcInstance,
     PlcRandomness,
@@ -70,91 +65,64 @@ class AuditReport:
         )
 
 
-_DUMMY = random.Random(0)
-
-
 # ---------------------------------------------------------------------------
-# Exhaustive transcript enumerators. Weights are conditional on the demanded
-# support; the demand coefficients are part of the enumeration.
+# Exhaustive walks over a run's own draws.
 
-def enumerate_jplc_paths(
-    support: Tuple[int, ...],
-    num_servers: int,
-    num_streams: int,
-    field: PrimeField,
-) -> Iterable[Tuple[Fraction, Demand, object]]:
-    k, d, q = num_streams, len(support), field.q
-    base = (
-        Fraction(1, (q - 1) ** d)
-        * Fraction(1, (q - 1) ** (k - d))
-        * Fraction(1, math.factorial(k))
-    )
-    for v_vals in product(range(1, q), repeat=d):
-        demand = Demand(support, VectorGF(v_vals, field))
-        for padding in product(range(1, q), repeat=k - d):
-            for omega in permutations(range(k)):
-                draws = JplcDraws(omega_assignment=omega, padding=padding)
-                enc = build_grs_matrix(
-                    num_servers, demand, k, field, _DUMMY, draws
-                )
-                yield base, demand, enc
+class _Walk:
+    """The rng of `_outcomes`. It models the three calls the encoders' draws
+    make: randrange(start, stop), shuffle(x), and random(), which returns a
+    token (the walk itself) that may only be compared as `random() < p` with
+    an exact p. Draw i takes outcome script[i][0]; past the script's end it
+    takes outcome 0 and records its outcome count as script[i][1]. num / den
+    is the probability of the outcomes taken. `_outcomes` sets the state."""
+
+    def _next(self, count):
+        self.at += 1
+        if self.at > len(self.script):
+            self.script.append([0, count])
+        return self.script[self.at - 1][0]
+
+    def randrange(self, start, stop):
+        if stop <= start:
+            raise ValueError(f"empty range for randrange({start}, {stop})")
+        self.den *= stop - start
+        return start + self._next(stop - start)
+
+    def shuffle(self, x):
+        for i in reversed(range(1, len(x))):  # random.shuffle's Fisher-Yates
+            j = self.randrange(0, i + 1)
+            x[i], x[j] = x[j], x[i]
+
+    def random(self):
+        return self
+
+    def __lt__(self, p):
+        if isinstance(p, float):
+            raise TypeError("random() must be compared with an exact probability, not a float")
+        p = min(max(Fraction(p), 0), 1)  # random() lies in [0, 1)
+        branches = [(w, b) for w, b in ((p, True), (1 - p, False)) if w]
+        w, outcome = branches[self._next(len(branches))]
+        self.num *= w.numerator
+        self.den *= w.denominator
+        return outcome
 
 
-def enumerate_iplc_paths(
-    support: Tuple[int, ...],
-    num_streams: int,
-    field: PrimeField,
-) -> Iterable[Tuple[Fraction, Demand, object]]:
-    k, d, q = num_streams, len(support), field.q
-    _, n, m = partition_shape(k, d)
-    v_weight = Fraction(1, (q - 1) ** d)
-    # Planting route, its probability and its block count; a route with no
-    # blocks (algorithm 2 when D | K, algorithm 1 when n = 0) yields no path.
-    p1, p2 = algorithm_probabilities(k, d)
-    branches = [(1, p1, n), (2, p2, m)]
-    for v_vals in product(range(1, q), repeat=d):
-        demand = Demand(support, VectorGF(v_vals, field))
-        for alg, p_alg, block_count in branches:
-            for block in range(1, block_count + 1):
-                for sigma in permutations(range(1, d + 1)):
-                    planted = planted_slot_map(demand, k, sigma, alg, block)
-                    free_slots = [
-                        s for s in range(1, k + 1) if s not in planted
-                    ]
-                    free_streams = [
-                        i
-                        for i in range(1, k + 1)
-                        if i not in set(planted.values())
-                    ]
-                    keys = free_alpha_positions(k, d, alg, block)
-                    w = (
-                        v_weight
-                        * p_alg
-                        * Fraction(1, block_count)
-                        * Fraction(1, math.factorial(d))
-                        * Fraction(1, math.factorial(k - d))
-                        * Fraction(1, (q - 1) ** len(keys))
-                    )
-                    for stream_perm in permutations(free_streams):
-                        pi = [0] * k
-                        for slot, stream in planted.items():
-                            pi[slot - 1] = stream
-                        for slot, stream in zip(free_slots, stream_perm):
-                            pi[slot - 1] = stream
-                        for alpha_vals in product(
-                            range(1, q), repeat=len(keys)
-                        ):
-                            draws = IplcDraws(
-                                algorithm=alg,
-                                block_index=block,
-                                sigma=sigma,
-                                pi=tuple(pi),
-                                free_alphas=dict(zip(keys, alpha_vals)),
-                            )
-                            enc = build_partition_matrix(
-                                demand, k, field, _DUMMY, draws
-                            )
-                            yield w, demand, enc
+def _outcomes(run):
+    """(exact probability, run(rng)) for every outcome of run's draws, depth
+    first. After each run the script advances like an odometer and drops the
+    draws after the one it moved, so draws that depend on earlier outcomes
+    are walked in full."""
+    walk = _Walk()
+    walk.script = script = []
+    while True:
+        walk.at, walk.num, walk.den = 0, 1, 1
+        result = run(walk)
+        yield Fraction(walk.num, walk.den), result
+        while script and script[-1][0] + 1 == script[-1][1]:
+            script.pop()
+        if not script:
+            return
+        script[-1][0] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +137,12 @@ def _paths(
 ):
     """(weight, label, encoder) paths over (label, support) pairs.
 
-    The demand prior is uniform over `labelled`. Exhaustive mode enumerates
-    every encoder run of every pair, weighted by its probability given the
-    support. Sampled mode runs the encoder `samples` times, each on a pair
-    from draw(rng) (a uniform pick by default) with fresh coefficients.
-    Bad inputs raise here, before any path is drawn.
+    The demand prior is uniform over `labelled`. A path is one run(support,
+    rng): draw the demand coefficients, then build the encoder. Exhaustive
+    mode walks every outcome of the run's draws for every pair, weighted by
+    its probability given the support. Sampled mode makes `samples` runs,
+    each on a pair from draw(rng) (a uniform pick by default). Bad inputs
+    raise here, before any path is drawn.
     """
     if num_servers < 1:
         raise ValueError("need at least one server")
@@ -189,26 +158,28 @@ def _paths(
     # The encoders are looked up when a path is built, so a patched module
     # attribute (a tracer's, say) is the one called.
     if protocol == "jplc":
-        runs = lambda support: enumerate_jplc_paths(support, n, k, field)
-        build = lambda demand: build_grs_matrix(n, demand, k, field, rng)
+        build = lambda demand, r: build_grs_matrix(n, demand, k, field, r)
     elif protocol == "iplc":
-        runs = lambda support: enumerate_iplc_paths(support, k, field)
-        build = lambda demand: build_partition_matrix(demand, k, field, rng)
+        build = lambda demand, r: build_partition_matrix(demand, k, field, r)
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
+
+    def run(support, r):
+        coefficients = [field.rand_nonzero_int(r) for _ in support]
+        return build(Demand(support, VectorGF(coefficients, field)), r)
+
     if mode == "exhaustive":
         return (
             (w, label, enc)
             for label, support in labelled
-            for w, _, enc in runs(support)
+            for w, enc in _outcomes(partial(run, support))
         )
     draw = draw or (lambda r: labelled[r.randrange(len(labelled))])
 
     def sampled():
         for _ in range(samples):
             label, support = draw(rng)
-            coefficients = [field.rand_nonzero_int(rng) for _ in support]
-            yield 1, label, build(Demand(support, VectorGF(coefficients, field)))
+            yield 1, label, run(support, rng)
 
     return sampled()
 
@@ -263,7 +234,7 @@ def collect(paths, views, max_paths: Optional[int] = None):
         count += 1
         if max_paths is not None and count > max_paths:
             raise ValueError(
-                "path budget exceeded; shrink parameters or use sampled mode"
+                f"path budget exceeded: more than {max_paths:,} paths; shrink the parameters"
             )
     return mass, count
 
@@ -429,12 +400,11 @@ def audit_recoverability(
     repetitions: int = 1,
 ) -> AuditReport:
     """Run full random transcripts and compare against direct evaluation."""
-    runs = {"jplc": run_jplc, "iplc": run_iplc}
-    if protocol not in runs:
+    run = {"jplc": run_jplc, "iplc": run_iplc}.get(protocol)
+    if run is None:
         raise ValueError(f"unknown protocol {protocol!r}: expected jplc or iplc")
     if num_servers < 1:
         raise ValueError("need at least one server")
-    run = runs[protocol]
     if trials < 1:
         raise ValueError(f"recoverability needs at least one trial, got {trials}")
     t_len = repetitions * minimum_stream_length(

@@ -356,6 +356,8 @@ def _audit_mode(args) -> Tuple[int, dict]:
     field = _require_prime(args.field)
     rng = random.Random(args.seed)
     kind, size = args.audit_kind, args.demand_size
+    if args.audit_layer == "full" and kind != "joint":
+        raise ValueError(f"--audit-layer full applies to --audit-kind joint only, not {kind}")
     if kind in ("pir-psi", "pir-si"):
         size = 1 if args.side_count is None else args.side_count
     elif size is None:
@@ -516,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--audit-layer", choices=["encoder", "full"], default="encoder",
-        help="full adds each server's queries to the view; exhaustive only, "
-        "since sampled query views almost never repeat",
+        help="full adds each server's queries to the view; joint audits only, "
+        "exhaustive only, since sampled query views almost never repeat",
     )
     parser.add_argument(
         "--audit-sampling", choices=["exhaustive", "sampled"], default="exhaustive"

@@ -191,13 +191,13 @@ def nullspace_basis(a: MatrixGF):
 
 
 def row_space_vector_with_support(
-    g: MatrixGF, s: Sequence[int], pivot_value=1
+    g: MatrixGF, s: Sequence[int]
 ) -> Optional[Tuple[VectorGF, VectorGF]]:
     """Find a row-space vector of G whose support is exactly S.
 
     S is a collection of 1-based column indices. The vector is normalised so
-    that its first (lowest-index) nonzero coordinate equals pivot_value. When
-    the row space holds such a vector it is returned together with the unique
+    that its first (lowest-index) nonzero coordinate is one. When the row
+    space holds such a vector it is returned together with the unique
     coefficient vector C with C . G = U; when none exists the result is None.
     Should several projectively distinct candidates exist (never the case for
     the generator matrices built here), the lexicographically least entry
@@ -210,43 +210,31 @@ def row_space_vector_with_support(
         return None
     if any(j < 1 or j > g.ncols for j in s_set):
         raise ValueError("support index out of range")
-    pivot_value = _as_int(pivot_value, field)
-    if pivot_value == 0:
-        raise ValueError("pivot value must be nonzero")
     outside = [j - 1 for j in range(1, g.ncols + 1) if j not in s_set]
     # Coefficient vectors c with (c . G) zero outside S form the nullspace of
     # the restriction of G to the outside columns (acting from the left).
-    restricted = MatrixGF(
-        [[row[j] for row in g.rows] for j in outside], field
-    ) if outside else MatrixGF([], field)
     if outside:
-        basis = nullspace_basis(restricted)
+        basis = nullspace_basis(MatrixGF([[row[j] for row in g.rows] for j in outside], field))
     else:
         basis = [
             VectorGF([1 if i == k else 0 for i in range(g.nrows)], field)
             for k in range(g.nrows)
         ]
-    if not basis:
-        return None
     first = min(s_set) - 1
     best = None
     # The nullspace is tiny in every use here, so scanning all combinations
-    # is affordable and keeps exact-support selection simple.
+    # is affordable and keeps exact-support selection simple. The zero
+    # combination (the only one of an empty basis) fails the support test.
     for coeffs in product(range(q), repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
         c_vec = [0] * g.nrows
         for c, b in zip(coeffs, basis):
-            if c == 0:
-                continue
             for i, x in enumerate(b.entries):
                 c_vec[i] = (c_vec[i] + c * x) % q
         u = vec_mat(VectorGF(c_vec, field), g)
         if set(support(u)) != s_set:
             continue
-        scale = (pivot_value * field.inv(u.entries[first])) % q
-        u_norm = u.scale(scale)
-        cand = (u_norm.entries, tuple((scale * x) % q for x in c_vec))
+        scale = field.inv(u.entries[first])
+        cand = (u.scale(scale).entries, tuple((scale * x) % q for x in c_vec))
         if best is None or cand < best:
             best = cand
     if best is None:

@@ -254,7 +254,7 @@ def build_partition_matrix(
             raise ValueError("algorithm 1 needs at least one plain row")
     else:
         p1, _ = algorithm_probabilities(k, d)
-        algorithm = 1 if rng.random() < float(p1) else 2
+        algorithm = 1 if rng.random() < p1 else 2  # exact p1: exhaustive audits branch on it
 
     sigma = _sigma(d, rng, draws.sigma if draws else None)
     v = demand.coefficients.entries

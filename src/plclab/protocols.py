@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import List, Optional
 
 from .gflinalg import MatrixGF, vec_mat
-from .iplc_encoder import IplcDraws, IplcEncoderOutput, build_partition_matrix
+from .iplc_encoder import IplcDraws, IplcEncoderOutput, build_partition_matrix, partition_shape
 from .jplc_encoder import JplcDraws, JplcEncoderOutput, build_grs_matrix
 from .plc_engine import (
     AnswerSet,
@@ -147,13 +148,9 @@ def run_iplc(
 
 def family_size(protocol: str, num_streams: int, demand_size: int) -> int:
     """Number of coded streams M the engine will see for given parameters."""
-    from math import comb
-
     if protocol == "jplc":
         return comb(num_streams, demand_size)
     if protocol == "iplc":
-        from .iplc_encoder import partition_shape
-
         _, n, m = partition_shape(num_streams, demand_size)
         return n + m
     raise ValueError(f"unknown protocol {protocol!r}")

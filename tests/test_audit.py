@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -11,7 +12,9 @@ from plclab import audit, plc_engine
 from plclab.audit import (
     _engine_map,
     _judge,
+    _outcomes,
     _paths,
+    _published_view,
     _sum_map,
     apply_pattern_map,
     audit_individual_privacy,
@@ -21,37 +24,85 @@ from plclab.audit import (
     certify_engine_privacy,
     debiased_marginal_statistic,
     debiased_pairwise_tv_statistic,
-    enumerate_iplc_paths,
-    enumerate_jplc_paths,
 )
 from plclab.ffield import PrimeField
 from plclab.gflinalg import MatrixGF
+from plclab.iplc_encoder import algorithm_probabilities
 from plclab.plc_engine import PlcInstance, generate_queries, identity_plc_randomness
+from enumeration_oracle import enumerate_iplc_paths, enumerate_jplc_paths
 from test_plc_engine import full_rank_stacks
 
 F3 = PrimeField(3)
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive path enumerators: weights must form a probability distribution.
+# Exhaustive paths walk the encoders' own draws: the weights form a
+# probability distribution, and they match a hand-written enumeration.
+
+def _walked(protocol, support, k, field=F3):
+    """The exhaustive paths of one demanded support, as (weight, encoder)."""
+    paths = _paths("exhaustive", protocol, [(support, support)], 2, k, field, None, 0)
+    return [(w, enc) for w, _, enc in paths]
+
 
 def test_jplc_paths_weights_sum_to_one():
-    total = Fraction(0)
-    for w, _, _ in enumerate_jplc_paths((1, 3), 2, 3, F3):
-        total += w
-    assert total == 1
+    assert sum(w for w, _ in _walked("jplc", (1, 3), 3)) == 1
 
 
 @pytest.mark.parametrize("k,d,support", [(4, 2, (2, 3)), (5, 2, (1, 3))])
 def test_iplc_paths_weights_sum_to_one(k, d, support):
-    total = Fraction(0)
-    count = 0
-    for w, demand, enc in enumerate_iplc_paths(support, k, F3):
-        total += w
-        count += 1
+    paths = _walked("iplc", support, k)
+    assert sum(w for w, _ in paths) == 1
+    assert paths
+    for _, enc in paths:
         assert enc.supports[enc.demand_index - 1] == support
-    assert total == 1
-    assert count > 0
+
+
+@pytest.mark.parametrize(
+    "protocol,k,support",
+    # iplc at K=3 has n = 0 (route 2 only), at K=4 R = 0, at K=5 both routes.
+    [("jplc", 3, (1, 3)), ("jplc", 3, (2,)), ("iplc", 3, (1, 3)), ("iplc", 4, (2, 3)),
+     ("iplc", 5, (2, 4))],
+)
+def test_walk_matches_the_enumeration_oracle(protocol, k, support):
+    if protocol == "jplc":
+        oracle = enumerate_jplc_paths(support, 2, k, F3)
+    else:
+        oracle = enumerate_iplc_paths(support, k, F3)
+    expected = Counter((w, _published_view(enc)) for w, _, enc in oracle)
+    got = Counter((w, _published_view(enc)) for w, enc in _walked(protocol, support, k))
+    assert got == expected
+
+
+def test_walk_branches_on_exact_comparisons_and_draw_dependent_counts():
+    def run(rng):
+        if rng.random() < Fraction(1, 3):
+            return ("low", rng.randrange(0, 2))
+        x = [1, 2, 3]
+        rng.shuffle(x)
+        return ("high", tuple(x))
+
+    got = {out: w for w, out in _outcomes(run)}
+    assert len(got) == 8 and sum(got.values()) == 1
+    assert got[("low", 0)] == got[("low", 1)] == Fraction(1, 6)
+    assert all(got[("high", p)] == Fraction(1, 9) for p in permutations((1, 2, 3)))
+    # Certain and impossible branches are not split.
+    assert list(_outcomes(lambda r: r.random() < 1)) == [(1, True)]
+    assert list(_outcomes(lambda r: r.random() < 0)) == [(1, False)]
+
+
+def test_walk_refuses_a_float_comparison(monkeypatch):
+    """A float probability cannot be branched on exactly, so an encoder that
+    compares random() with one stops the exhaustive audit."""
+    real = audit.build_partition_matrix
+
+    def float_route(demand, k, field, rng):
+        rng.random() < float(algorithm_probabilities(k, demand.size)[0])
+        return real(demand, k, field, rng)
+
+    monkeypatch.setattr(audit, "build_partition_matrix", float_route)
+    with pytest.raises(TypeError, match="exact probability"):
+        audit_individual_privacy(2, 5, 2, F3, mode="exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +178,16 @@ def test_full_layer_refuses_sampled_mode():
         lambda: audit_joint_privacy(2, 3, 2, F3),
         lambda: audit_individual_privacy(2, 4, 2, F3, protocol="iplc"),
         lambda: audit_reduction_marginal("pir-psi", 2, 3, 1, F3),
+        lambda: audit_joint_privacy(2, 2, 1, F3, layer="full"),
     ],
-    ids=["joint", "individual", "reduction"],
+    ids=["joint", "individual", "reduction", "joint-full"],
 )
 def test_every_exhaustive_audit_stops_at_the_path_budget(monkeypatch, audit_call):
     monkeypatch.setattr(audit, "_PATH_BUDGET", 5)
-    with pytest.raises(ValueError, match="path budget exceeded"):
+    with pytest.raises(ValueError, match="path budget exceeded") as caught:
         audit_call()
+    # The full layer refuses sampled mode, so the advice names no mode.
+    assert "sampled" not in str(caught.value)
 
 
 def test_the_path_budget_leaves_sampled_audits_alone(monkeypatch):

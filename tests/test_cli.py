@@ -5,7 +5,7 @@ import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plclab.cli_harness import (
@@ -261,6 +261,9 @@ def _csv(values):
     _bad_count(), _bad_field(), _bad_demand(), _small_field_jplc(), _bad_side_info(),
     _unsupported_option(),
 ))
+# Only the joint audit has a full layer.
+@example(["--mode=audit", "--audit-kind=individual", "--messages=4", "--demand-size=2",
+          "--audit-layer=full"])
 def test_bad_arguments_exit_1_with_an_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -85,13 +85,13 @@ def test_nullspace_vectors_annihilate():
                 assert sum(a * b for a, b in zip(m.row(i), v)) % 5 == 0
 
 
-def _oracle_support_search(g, target_support, pivot_value=1):
+def _oracle_support_search(g, target_support):
     """Reference implementation: scan every row-space member."""
     hits = []
     for v in row_space_members(g):
         if support(v) == target_support:
             lead = v.entries[target_support[0] - 1]
-            scaled = v.scale(g.field.inv(lead) * pivot_value)
+            scaled = v.scale(g.field.inv(lead))
             hits.append(scaled.entries)
     return min(hits) if hits else None
 

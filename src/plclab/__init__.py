@@ -26,14 +26,12 @@ from .gflinalg import (
     support,
 )
 from .iplc_encoder import (
-    IplcDraws,
     IplcEncoderOutput,
     algorithm_probabilities,
     build_partition_matrix,
     partition_shape,
 )
 from .jplc_encoder import (
-    JplcDraws,
     JplcEncoderOutput,
     build_grs_matrix,
     enumerate_supports,
@@ -86,9 +84,7 @@ __all__ = [
     "Dataset",
     "Demand",
     "InvariantViolation",
-    "IplcDraws",
     "IplcEncoderOutput",
-    "JplcDraws",
     "JplcEncoderOutput",
     "MatrixGF",
     "PlcInstance",

@@ -362,6 +362,15 @@ def _audit_mode(args) -> Tuple[int, dict]:
         size = 1 if args.side_count is None else args.side_count
     elif size is None:
         raise ValueError("--demand-size is required for this audit")
+    for flag, applies, default in (
+        ("protocol", kind in ("individual", "recoverability"), "iplc"),
+        ("samples", args.audit_sampling == "sampled" and kind != "recoverability", 100_000),
+        ("trials", kind == "recoverability", 50),
+    ):
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif not applies:
+            raise ValueError(f"--{flag} is ignored by the {args.audit_sampling} {kind} audit")
     shape = (args.servers, args.messages, size, field)
     sampling = dict(
         rng=rng, mode=args.audit_sampling, samples=args.samples, threshold=args.tv_threshold
@@ -507,8 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="RNG seed; falls back to PLCLAB_SEED, then 0",
     )
-    parser.add_argument("--trials", type=int, default=50)
-    parser.add_argument("--samples", type=int, default=100000)
+    parser.add_argument(
+        "--trials", type=int, default=None, help="recoverability audit runs (default 50)"
+    )
+    parser.add_argument(
+        "--samples", type=int, default=None,
+        help="draws of a sampled audit other than recoverability (default 100000)",
+    )
     parser.add_argument("--out", type=str, default=None, help="write the JSON report here")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument(
@@ -527,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--protocol",
         choices=["jplc", "iplc"],
-        default="iplc",
-        help="protocol for individual-privacy and recoverability audits",
+        default=None,
+        help="protocol of --audit-kind individual and recoverability only (default iplc)",
     )
     parser.add_argument("--tv-threshold", type=float, default=None)
     parser.add_argument(

@@ -34,26 +34,6 @@ from .protocol_core import Demand
 
 
 @dataclass(frozen=True)
-class IplcDraws:
-    """Optional overrides for the encoder's random draws.
-
-    algorithm picks the planting route in the K mod D != 0 case. block_index
-    is i* (algorithm 1 and the D | K case) or the dropped-segment index
-    (algorithm 2). sigma is the coefficient-slot permutation of [D]. pi is the
-    full column permutation (slot -> stream), which must respect the planted
-    demand columns. free_alphas maps (row_or_segment, position) to the values
-    of the freely drawn coefficients; derived coefficients are computed, not
-    drawn.
-    """
-
-    algorithm: Optional[int] = None
-    block_index: Optional[int] = None
-    sigma: Optional[Tuple[int, ...]] = None
-    pi: Optional[Tuple[int, ...]] = None
-    free_alphas: Optional[Dict[Tuple[int, int], int]] = None
-
-
-@dataclass(frozen=True)
 class IplcEncoderOutput:
     generator: MatrixGF
     supports: Tuple[Tuple[int, ...], ...]
@@ -161,31 +141,8 @@ def planted_slot_map(
     raise ValueError("algorithm must be 1 or 2 when K mod D is nonzero")
 
 
-def _draw_free_alphas(field, rng, free_positions, overrides):
-    alphas = {}
-    for key in free_positions:
-        if overrides and key in overrides:
-            v = overrides[key] % field.q
-            if v == 0:
-                raise ValueError(f"alpha override at {key} must be nonzero")
-            alphas[key] = v
-        else:
-            alphas[key] = field.rand_nonzero_int(rng)
-    return alphas
-
-
-def _complete_pi(k, constrained, rng, pi_override):
+def _complete_pi(k, constrained, rng):
     """Extend the planted slot -> stream assignments to a full bijection."""
-    if pi_override is not None:
-        pi = tuple(pi_override)
-        if sorted(pi) != list(range(1, k + 1)):
-            raise ValueError("pi must be a permutation of 1..K")
-        for slot, stream in constrained.items():
-            if pi[slot - 1] != stream:
-                raise ValueError(
-                    f"pi override breaks the planted demand at slot {slot}"
-                )
-        return pi
     free_slots = [s for s in range(1, k + 1) if s not in constrained]
     used = set(constrained.values())
     free_streams = [i for i in range(1, k + 1) if i not in used]
@@ -198,36 +155,18 @@ def _complete_pi(k, constrained, rng, pi_override):
     return tuple(pi)
 
 
-def _sigma(d, rng, override):
-    if override is not None:
-        sig = tuple(override)
-        if sorted(sig) != list(range(1, d + 1)):
-            raise ValueError("sigma must be a permutation of 1..D")
-        return sig
-    perm = list(range(1, d + 1))
-    rng.shuffle(perm)
-    return tuple(perm)
-
-
-def _block_index(draws, count, rng):
-    if draws is not None and draws.block_index is not None:
-        if not 1 <= draws.block_index <= count:
-            raise ValueError(f"block index must lie in [1, {count}]")
-        return draws.block_index
-    return rng.randrange(1, count + 1)
-
-
 def build_partition_matrix(
     demand: Demand,
     num_streams: int,
     field: PrimeField,
     rng: random.Random,
-    draws: Optional[IplcDraws] = None,
 ) -> IplcEncoderOutput:
     """n plain rows, plus two aligned rows when K mod D is nonzero.
 
     When D divides K the code is block diagonal: n = K/D plain rows, no
     aligned rows, and the demand is always planted in a plain row.
+    Every draw comes from rng, in this order: the route (or, when D | K, the
+    block), sigma, the route's block, the free alphas, then pi.
     """
     k = num_streams
     d = demand.size
@@ -245,23 +184,19 @@ def build_partition_matrix(
 
     if r == 0:  # D | K draws its block before sigma; seeded runs rely on it
         algorithm = None
-        block = _block_index(draws, n, rng)
-    elif draws is not None and draws.algorithm is not None:
-        algorithm = draws.algorithm
-        if algorithm not in (1, 2):
-            raise ValueError("algorithm must be 1 or 2")
-        if algorithm == 1 and n == 0:
-            raise ValueError("algorithm 1 needs at least one plain row")
+        block = rng.randrange(1, n + 1)
     else:
         p1, _ = algorithm_probabilities(k, d)
         algorithm = 1 if rng.random() < p1 else 2  # exact p1: exhaustive audits branch on it
 
-    sigma = _sigma(d, rng, draws.sigma if draws else None)
+    perm = list(range(1, d + 1))
+    rng.shuffle(perm)
+    sigma = tuple(perm)
     v = demand.coefficients.entries
     if algorithm is not None:
-        block = _block_index(draws, n if algorithm == 1 else m, rng)
+        block = rng.randrange(1, (n if algorithm == 1 else m) + 1)
     free = free_alpha_positions(k, d, algorithm, block)
-    alphas = _draw_free_alphas(field, rng, free, draws.free_alphas if draws else None)
+    alphas = {key: field.rand_nonzero_int(rng) for key in free}
     if algorithm == 2:
         for i in range(1, m + 1):
             if i == block:
@@ -276,7 +211,7 @@ def build_partition_matrix(
             alphas[(block, j)] = v[sigma[j - 1] - 1]
         demand_index = block
     constrained = planted_slot_map(demand, k, sigma, algorithm, block)
-    pi = _complete_pi(k, constrained, rng, draws.pi if draws else None)
+    pi = _complete_pi(k, constrained, rng)
 
     rows = [[0] * k for _ in range(n + (2 if r else 0))]
     for i in range(1, n + 1):

@@ -23,24 +23,11 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF, rank
 from .protocol_core import Demand
-
-
-@dataclass(frozen=True)
-class JplcDraws:
-    """Optional overrides for the encoder's random draws.
-
-    omega_assignment gives the evaluation point of each column slot j (it must
-    be a permutation of 0..K-1); padding gives the nonzero coefficients the
-    encoder invents for the K-D streams outside the demand.
-    """
-
-    omega_assignment: Optional[Tuple[int, ...]] = None
-    padding: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -121,12 +108,12 @@ def build_grs_matrix(
     num_streams: int,
     field: PrimeField,
     rng: random.Random,
-    draws: Optional[JplcDraws] = None,
 ) -> JplcEncoderOutput:
     """Build the joint-privacy generator matrix for one demand.
 
     num_servers only gates validation (the matrix itself is server-count
     independent); the retrieval engine consumes the output alongside N.
+    Every draw comes from rng: the omega assignment, then the padding.
     """
     k = num_streams
     d = demand.size
@@ -148,21 +135,10 @@ def build_grs_matrix(
     complement = tuple(i for i in range(1, k + 1) if i not in set(w))
     pi = w + complement
 
-    if draws is not None and draws.omega_assignment is not None:
-        omegas = tuple(draws.omega_assignment)
-        if sorted(omegas) != list(range(k)):
-            raise ValueError("omega assignment must be a permutation of 0..K-1")
-    else:
-        pool = list(range(k))
-        rng.shuffle(pool)
-        omegas = tuple(pool)
-
-    if draws is not None and draws.padding is not None:
-        padding = tuple(v % field.q for v in draws.padding)
-        if len(padding) != k - d or any(v == 0 for v in padding):
-            raise ValueError("padding must supply K-D nonzero coefficients")
-    else:
-        padding = tuple(field.rand_nonzero_int(rng) for _ in range(k - d))
+    pool = list(range(k))
+    rng.shuffle(pool)
+    omegas = tuple(pool)
+    padding = tuple(field.rand_nonzero_int(rng) for _ in range(k - d))
 
     coeffs = tuple(demand.coefficients.entries) + padding
 

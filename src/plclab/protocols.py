@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional
+from typing import List
 
 from .gflinalg import MatrixGF, vec_mat
-from .iplc_encoder import IplcDraws, IplcEncoderOutput, build_partition_matrix, partition_shape
-from .jplc_encoder import JplcDraws, JplcEncoderOutput, build_grs_matrix
+from .iplc_encoder import IplcEncoderOutput, build_partition_matrix, partition_shape
+from .jplc_encoder import JplcEncoderOutput, build_grs_matrix
 from .plc_engine import (
     AnswerSet,
     PlcInstance,
@@ -115,12 +115,11 @@ def run_jplc(
     dataset: Dataset,
     demand: Demand,
     rng: random.Random,
-    draws: Optional[JplcDraws] = None,
     verify: bool = False,
 ) -> PlcRunResult:
     """One joint-privacy run over a replicated dataset."""
     encoder: JplcEncoderOutput = build_grs_matrix(
-        num_servers, demand, dataset.num_streams, dataset.field, rng, draws
+        num_servers, demand, dataset.num_streams, dataset.field, rng
     )
     capacity = jplc_capacity(num_servers, dataset.num_streams, demand.size)
     return _run_engine(
@@ -133,12 +132,11 @@ def run_iplc(
     dataset: Dataset,
     demand: Demand,
     rng: random.Random,
-    draws: Optional[IplcDraws] = None,
     verify: bool = False,
 ) -> PlcRunResult:
     """One individual-privacy run over a replicated dataset."""
     encoder: IplcEncoderOutput = build_partition_matrix(
-        demand, dataset.num_streams, dataset.field, rng, draws
+        demand, dataset.num_streams, dataset.field, rng
     )
     capacity = iplc_capacity(num_servers, dataset.num_streams, demand.size)
     return _run_engine(

@@ -7,24 +7,24 @@ coefficients are part of the enumeration.
 """
 
 import math
-import random
 from fractions import Fraction
 from itertools import permutations, product
 
 from plclab.gflinalg import VectorGF
 from plclab.iplc_encoder import (
-    IplcDraws,
     algorithm_probabilities,
     build_partition_matrix,
     free_alpha_positions,
     partition_shape,
     planted_slot_map,
 )
-from plclab.jplc_encoder import JplcDraws, build_grs_matrix
+from plclab.jplc_encoder import build_grs_matrix
 from plclab.protocol_core import Demand
 
-# Every draw is overridden, so the rng is never read.
-_DUMMY = random.Random(0)
+from pinned_rng import PinnedRandom
+
+# The route draw takes algorithm 1 below p1; p1 < 1 whenever a route is drawn.
+_ROUTE_PIN = {1: 0.0, 2: math.nextafter(1.0, 0.0)}
 
 
 def enumerate_jplc_paths(support, num_servers, num_streams, field):
@@ -38,16 +38,15 @@ def enumerate_jplc_paths(support, num_servers, num_streams, field):
         demand = Demand(support, VectorGF(v_vals, field))
         for padding in product(range(1, q), repeat=k - d):
             for omega in permutations(range(k)):
-                draws = JplcDraws(omega_assignment=omega, padding=padding)
-                enc = build_grs_matrix(
-                    num_servers, demand, k, field, _DUMMY, draws
-                )
+                draws = PinnedRandom(shuffle=[omega], randrange=padding)
+                enc = build_grs_matrix(num_servers, demand, k, field, draws)
+                draws.check_consumed()
                 yield base, demand, enc
 
 
 def enumerate_iplc_paths(support, num_streams, field):
     k, d, q = num_streams, len(support), field.q
-    _, n, m = partition_shape(k, d)
+    r, n, m = partition_shape(k, d)
     v_weight = Fraction(1, (q - 1) ** d)
     # Planting route, its probability and its block count; a route with no
     # blocks (algorithm 2 when D | K, algorithm 1 when n = 0) yields no path.
@@ -59,9 +58,6 @@ def enumerate_iplc_paths(support, num_streams, field):
             for block in range(1, block_count + 1):
                 for sigma in permutations(range(1, d + 1)):
                     planted = planted_slot_map(demand, k, sigma, alg, block)
-                    free_slots = [
-                        s for s in range(1, k + 1) if s not in planted
-                    ]
                     free_streams = [
                         i
                         for i in range(1, k + 1)
@@ -77,22 +73,14 @@ def enumerate_iplc_paths(support, num_streams, field):
                         * Fraction(1, (q - 1) ** len(keys))
                     )
                     for stream_perm in permutations(free_streams):
-                        pi = [0] * k
-                        for slot, stream in planted.items():
-                            pi[slot - 1] = stream
-                        for slot, stream in zip(free_slots, stream_perm):
-                            pi[slot - 1] = stream
                         for alpha_vals in product(
                             range(1, q), repeat=len(keys)
                         ):
-                            draws = IplcDraws(
-                                algorithm=alg,
-                                block_index=block,
-                                sigma=sigma,
-                                pi=tuple(pi),
-                                free_alphas=dict(zip(keys, alpha_vals)),
+                            draws = PinnedRandom(
+                                random=[_ROUTE_PIN[alg]] if r else [],
+                                randrange=[block, *alpha_vals],
+                                shuffle=[sigma, stream_perm],
                             )
-                            enc = build_partition_matrix(
-                                demand, k, field, _DUMMY, draws
-                            )
+                            enc = build_partition_matrix(demand, k, field, draws)
+                            draws.check_consumed()
                             yield w, demand, enc

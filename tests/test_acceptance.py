@@ -26,8 +26,8 @@ from plclab.gflinalg import (
     support,
     vec_mat,
 )
-from plclab.iplc_encoder import IplcDraws, build_partition_matrix
-from plclab.jplc_encoder import JplcDraws, build_grs_matrix
+from plclab.iplc_encoder import build_partition_matrix
+from plclab.jplc_encoder import build_grs_matrix
 from plclab.protocol_core import (
     Demand,
     iplc_capacity,
@@ -42,7 +42,23 @@ from plclab.reductions import (
     solve_pir_si_via_iplc,
 )
 
+from pinned_rng import PinnedRandom
+
 F3 = PrimeField(3)
+
+
+def _example_one_draws(rest=None):
+    """Evaluation points (0, 1, 2) in slot order, padding coefficient 1."""
+    return PinnedRandom(rest, shuffle=[(0, 1, 2)], randrange=[1])
+
+
+def _example_two_draws(rest=None):
+    """Algorithm 2 (0.9 is not below p1 = 2/5), aligned segment 1,
+    sigma = (2, 1), free alphas 1, 2, 1, and free streams (4, 2, 5) on the
+    unplanted slots, so pi sends slots (1..5) to streams (4, 2, 5, 3, 1)."""
+    return PinnedRandom(
+        rest, random=[0.9], randrange=[1, 1, 2, 1], shuffle=[(2, 1), (4, 2, 5)]
+    )
 
 
 def _min_prime_at_least(n):
@@ -56,8 +72,9 @@ def test_criterion_1_worked_example_one():
     """Three messages, joint privacy: pinned draws reproduce the worked run."""
     start = time.monotonic()
     demand = Demand((1, 3), VectorGF([1, 2], F3))
-    draws = JplcDraws(omega_assignment=(0, 1, 2), padding=(1,))
-    enc = build_grs_matrix(2, demand, 3, F3, random.Random(0), draws)
+    draws = _example_one_draws()
+    enc = build_grs_matrix(2, demand, 3, F3, draws)
+    draws.check_consumed()
     assert enc.generator.rows == ((1, 2, 1), (0, 1, 1))
     assert [u.entries for u in enc.row_space_vectors] == [
         (1, 1, 0), (1, 0, 2), (0, 1, 1),
@@ -69,7 +86,9 @@ def test_criterion_1_worked_example_one():
 
     rng = random.Random(99)
     dataset = random_dataset(F3, 3, 8, rng)
-    run = run_jplc(2, dataset, demand, rng, draws=draws, verify=True)
+    draws = _example_one_draws(rest=rng)
+    run = run_jplc(2, dataset, demand, draws, verify=True)
+    draws.check_consumed()
     assert run.report.downloaded_symbols == 12
     assert run.report.rate == Fraction(2, 3)
     assert run.report.rate == jplc_capacity(2, 3, 2)  # exact rational equality
@@ -84,14 +103,9 @@ def test_criterion_2_worked_example_two():
     """Five messages, individual privacy: pinned draws reproduce the run."""
     start = time.monotonic()
     demand = Demand((1, 3), VectorGF([1, 2], F3))
-    draws = IplcDraws(
-        algorithm=2,
-        block_index=1,
-        sigma=(2, 1),
-        pi=(4, 2, 5, 3, 1),
-        free_alphas={(1, 1): 1, (1, 2): 2, (2, 1): 1},
-    )
-    enc = build_partition_matrix(demand, 5, F3, random.Random(0), draws)
+    draws = _example_two_draws()
+    enc = build_partition_matrix(demand, 5, F3, draws)
+    draws.check_consumed()
     assert enc.generator.rows == (
         (0, 2, 0, 1, 0),
         (2, 0, 2, 0, 1),
@@ -102,7 +116,9 @@ def test_criterion_2_worked_example_two():
 
     rng = random.Random(7)
     dataset = random_dataset(F3, 5, 16, rng)
-    run = run_iplc(2, dataset, demand, rng, draws=draws, verify=True)
+    draws = _example_two_draws(rest=rng)
+    run = run_iplc(2, dataset, demand, draws, verify=True)
+    draws.check_consumed()
     assert run.report.downloaded_symbols == 28
     assert run.report.rate == Fraction(4, 7)
     assert run.report.rate == iplc_capacity(2, 5, 2)

@@ -244,10 +244,24 @@ def _bad_side_info(draw):
 @st.composite
 def _unsupported_option(draw):
     """A valid run asked for something it cannot give: CSV outside the
-    capacity table, or a sampled audit of the full layer."""
+    capacity table, a sampled audit of the full layer, or an audit flag that
+    the chosen audit would ignore."""
+    joint = _AUDITS[0]
+    sampled_joint = _AUDITS[1]
+    recoverability = _AUDITS[2]
+    audit = draw(st.sampled_from([
+        ["--mode=audit", "--audit-kind=joint", "--messages=2", "--demand-size=1",
+         "--audit-layer=full", "--audit-sampling=sampled", "--samples=10"],
+        ["--mode=audit", "--audit-kind=pir-si", "--messages=4", "--side-count=1",
+         "--protocol=jplc"],
+        sampled_joint + ["--protocol=iplc"],
+        joint + ["--samples=5"],
+        recoverability + ["--samples=5"],
+        joint + ["--trials=3"],
+        sampled_joint + ["--samples=5", "--trials=3"],
+    ]))
     if draw(st.booleans()):
-        return ["--mode=audit", "--audit-kind=joint", "--messages=2", "--demand-size=1",
-                "--audit-layer=full", "--audit-sampling=sampled", "--samples=10"]
+        return audit
     base = draw(st.sampled_from(list(_RUNS.values()) + _AUDITS + [["--mode=replay"]]))
     return base + ["--format=csv"]
 
@@ -264,6 +278,11 @@ def _csv(values):
 # Only the joint audit has a full layer.
 @example(["--mode=audit", "--audit-kind=individual", "--messages=4", "--demand-size=2",
           "--audit-layer=full"])
+# Audit flags that the chosen audit would ignore.
+@example(["--mode=audit", "--audit-kind=pir-si", "--messages=4", "--side-count=1",
+          "--protocol=jplc"])
+@example(_AUDITS[0] + ["--samples=5"])
+@example(_AUDITS[0] + ["--trials=3"])
 def test_bad_arguments_exit_1_with_an_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

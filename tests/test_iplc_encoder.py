@@ -6,7 +6,6 @@ import pytest
 from plclab.ffield import PrimeField
 from plclab.gflinalg import VectorGF, rank, row_space_vector_with_support, vec_mat
 from plclab.iplc_encoder import (
-    IplcDraws,
     algorithm_probabilities,
     build_partition_matrix,
     free_alpha_positions,
@@ -18,6 +17,7 @@ from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import minimum_stream_length, run_iplc
 
 from kernel_oracle import derive_combination_vectors
+from pinned_rng import PinnedRandom
 
 F3 = PrimeField(3)
 
@@ -30,14 +30,14 @@ def _golden_encoder():
     assignment pi sending slots (1..5) to streams (4, 2, 5, 3, 1).
     """
     demand = Demand((1, 3), VectorGF([1, 2], F3))
-    draws = IplcDraws(
-        algorithm=2,
-        block_index=1,
-        sigma=(2, 1),
-        pi=(4, 2, 5, 3, 1),
-        free_alphas={(1, 1): 1, (1, 2): 2, (2, 1): 1},
+    # 0.9 is not below p1 = 2/5; the free alphas are 1, 2, 1; the unplanted
+    # slots 1, 2, 3 take streams 4, 2, 5.
+    draws = PinnedRandom(
+        random=[0.9], randrange=[1, 1, 2, 1], shuffle=[(2, 1), (4, 2, 5)]
     )
-    return build_partition_matrix(demand, 5, F3, random.Random(0), draws)
+    enc = build_partition_matrix(demand, 5, F3, draws)
+    draws.check_consumed()
+    return enc
 
 
 def test_golden_generator_matrix():
@@ -161,19 +161,16 @@ def test_field_too_small_for_alignment():
         build_partition_matrix(demand, 5, PrimeField(2), random.Random(0))
 
 
-def test_deterministic_given_draws():
-    demand = Demand((1, 3), VectorGF([1, 2], F3))
-    draws = IplcDraws(
-        algorithm=2,
-        block_index=2,
-        sigma=(1, 2),
-        pi=(2, 4, 1, 5, 3),
-        free_alphas={(1, 1): 2, (1, 2): 1, (3, 1): 2},
+def _route(rng, algorithm, block=None):
+    """rng with the planting route pinned (None when D | K draws none), and
+    the block too when given; every other draw comes from rng. Algorithm 1
+    pins 0.0, below every p1 > 0; algorithm 2 pins 0.999, above every p1 of
+    the shapes below."""
+    return PinnedRandom(
+        rng,
+        random=[] if algorithm is None else [0.0 if algorithm == 1 else 0.999],
+        randrange=[] if block is None else [block],
     )
-    a = build_partition_matrix(demand, 5, F3, random.Random(1), draws)
-    b = build_partition_matrix(demand, 5, F3, random.Random(42), draws)
-    assert a.generator.rows == b.generator.rows
-    assert a.demand_index == b.demand_index
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -190,9 +187,9 @@ def test_kernel_solve_matches_support_search(q):
         for algorithm in (None,) if r == 0 else (1, 2):
             for _ in range(3):
                 demand = random_demand(field, k, d, rng)
-                enc = build_partition_matrix(
-                    demand, k, field, rng, IplcDraws(algorithm=algorithm)
-                )
+                draws = _route(rng, algorithm)
+                enc = build_partition_matrix(demand, k, field, draws)
+                draws.check_consumed()
                 assert enc.algorithm_used == algorithm
                 g = enc.generator
                 found = [row_space_vector_with_support(g, s) for s in enc.supports]
@@ -222,10 +219,9 @@ def test_closed_form_matches_kernel_oracle(q, k, d):
         for block in range(1, blocks + 1):
             for _ in range(2):
                 demand = random_demand(field, k, d, rng)
-                enc = build_partition_matrix(
-                    demand, k, field, rng,
-                    IplcDraws(algorithm=algorithm, block_index=block),
-                )
+                draws = _route(rng, algorithm, block)
+                enc = build_partition_matrix(demand, k, field, draws)
+                draws.check_consumed()
                 assert (enc.algorithm_used, enc.block_index) == (algorithm, block)
                 assert (
                     enc.row_space_vectors,

@@ -17,7 +17,6 @@ from plclab.gflinalg import (
     vec_mat,
 )
 from plclab.jplc_encoder import (
-    JplcDraws,
     build_grs_matrix,
     check_planted_demand,
     enumerate_supports,
@@ -27,15 +26,19 @@ from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import minimum_stream_length, run_jplc
 
 from kernel_oracle import derive_combination_vectors
+from pinned_rng import PinnedRandom
 
 F3 = PrimeField(3)
 
 
 def _golden_encoder():
-    """N=2, K=3, D=2, q=3, demand X_1 + 2 X_3, with pinned draws."""
+    """N=2, K=3, D=2, q=3, demand X_1 + 2 X_3, with pinned draws: evaluation
+    points (0, 1, 2) in slot order and padding coefficient 1."""
     demand = Demand((1, 3), VectorGF([1, 2], F3))
-    draws = JplcDraws(omega_assignment=(0, 1, 2), padding=(1,))
-    return build_grs_matrix(2, demand, 3, F3, random.Random(0), draws)
+    draws = PinnedRandom(shuffle=[(0, 1, 2)], randrange=[1])
+    enc = build_grs_matrix(2, demand, 3, F3, draws)
+    draws.check_consumed()
+    return enc
 
 
 def test_golden_generator_matrix():
@@ -118,29 +121,6 @@ def test_field_too_small_rejected():
         build_grs_matrix(2, demand, 4, F3, random.Random(0))
 
 
-def test_draw_validation():
-    demand = Demand((1, 3), VectorGF([1, 2], F3))
-    with pytest.raises(ValueError):
-        build_grs_matrix(
-            2, demand, 3, F3, random.Random(0),
-            JplcDraws(omega_assignment=(0, 0, 2), padding=(1,)),
-        )
-    with pytest.raises(ValueError):
-        build_grs_matrix(
-            2, demand, 3, F3, random.Random(0),
-            JplcDraws(omega_assignment=(0, 1, 2), padding=(0,)),
-        )
-
-
-def test_deterministic_given_draws():
-    demand = Demand((1, 3), VectorGF([1, 2], F3))
-    draws = JplcDraws(omega_assignment=(2, 0, 1), padding=(2,))
-    a = build_grs_matrix(2, demand, 3, F3, random.Random(1), draws)
-    b = build_grs_matrix(2, demand, 3, F3, random.Random(99), draws)
-    assert a.generator.rows == b.generator.rows
-    assert a.demand_index == b.demand_index
-
-
 def test_derive_combination_vectors_requires_all_supports():
     g = MatrixGF([[1, 0, 0], [0, 1, 0]], F3)
     with pytest.raises(ValueError):
@@ -213,11 +193,10 @@ def test_planted_demand_check_survives_optimised_mode():
     script = (
         "import dataclasses, random\n"
         "from plclab import Demand, PrimeField, VectorGF\n"
-        "from plclab.jplc_encoder import JplcDraws, build_grs_matrix, "
-        "check_planted_demand\n"
+        "from plclab.jplc_encoder import build_grs_matrix, check_planted_demand\n"
         "f = PrimeField(3)\n"
         "enc = build_grs_matrix(2, Demand((1, 3), VectorGF([1, 2], f)), 3, f, "
-        "random.Random(0), JplcDraws((0, 1, 2), (1,)))\n"
+        "random.Random(0))\n"
         "bad = dataclasses.replace(enc, demand_index=enc.demand_index % 3 + 1)\n"
         "try:\n"
         "    check_planted_demand(bad)\n"

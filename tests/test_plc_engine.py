@@ -13,7 +13,7 @@ from plclab import plc_engine
 from plclab.ffield import PrimeField
 from plclab.gflinalg import MatrixGF, VectorGF, rank
 from plclab.iplc_encoder import build_partition_matrix
-from plclab.jplc_encoder import JplcDraws, build_grs_matrix
+from plclab.jplc_encoder import build_grs_matrix
 from plclab.plc_engine import (
     _TRIM_CACHE_SIZE,
     PlcInstance,
@@ -33,6 +33,8 @@ from plclab.plc_engine import (
 )
 from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import run_jplc
+
+from pinned_rng import PinnedRandom
 
 F3 = PrimeField(3)
 
@@ -648,9 +650,9 @@ def test_full_trim_cache_stays_small():
         for d in (2, 3):
             demand = Demand(range(1, d + 1), VectorGF([1] * d, field))
             for omegas in permutations(range(5)):
-                enc = build_grs_matrix(
-                    2, demand, 5, field, random.Random(0), JplcDraws(omegas)
-                )
+                draws = PinnedRandom(random.Random(0), shuffle=[omegas])
+                enc = build_grs_matrix(2, demand, 5, field, draws)
+                draws.check_consumed()
                 yield MatrixGF([cv.entries for cv in enc.combination_vectors], field)
 
     stacks = list(islice(stacks(), _TRIM_CACHE_SIZE))

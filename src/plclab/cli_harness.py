@@ -63,6 +63,8 @@ from .reductions import (
     solve_pir_si_via_iplc,
 )
 
+_RUN_MODES = ("jplc", "iplc", "pir-psi", "pir-si")
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT_FAILURE = 2
@@ -362,15 +364,6 @@ def _audit_mode(args) -> Tuple[int, dict]:
         size = 1 if args.side_count is None else args.side_count
     elif size is None:
         raise ValueError("--demand-size is required for this audit")
-    for flag, applies, default in (
-        ("protocol", kind in ("individual", "recoverability"), "iplc"),
-        ("samples", args.audit_sampling == "sampled" and kind != "recoverability", 100_000),
-        ("trials", kind == "recoverability", 50),
-    ):
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-        elif not applies:
-            raise ValueError(f"--{flag} is ignored by the {args.audit_sampling} {kind} audit")
     shape = (args.servers, args.messages, size, field)
     sampling = dict(
         rng=rng, mode=args.audit_sampling, samples=args.samples, threshold=args.tv_threshold
@@ -508,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--target", type=int, default=None, help="reduction target index (random if absent)"
     )
     parser.add_argument(
-        "--t-mult", type=int, default=1, help="stream length multiplier over the minimum"
+        "--t-mult", type=int, default=None, help="stream length multiplier (default 1)"
     )
     parser.add_argument(
         "--seed",
@@ -528,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--audit-kind",
         choices=["joint", "individual", "pir-psi", "pir-si", "recoverability"],
-        default="joint",
+        default=None,
+        help="audit mode only (default joint)",
     )
     parser.add_argument(
         "--audit-layer", choices=["encoder", "full"], default="encoder",
@@ -544,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="protocol of --audit-kind individual and recoverability only (default iplc)",
     )
-    parser.add_argument("--tv-threshold", type=float, default=None)
+    parser.add_argument("--tv-threshold", type=float, default=None, help="audit pass bound")
     parser.add_argument(
         "--transcript", type=str, default=None, help="transcript file to write or replay"
     )
@@ -556,13 +550,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = int(os.environ.get("PLCLAB_SEED", "0"))
+    audit = args.mode == "audit"
+    kind = args.audit_kind or "joint"
+    privacy = audit and kind != "recoverability"
     try:
+        # Options of one mode or audit: each takes its default where it
+        # applies, and is refused where the chosen run would ignore it.
+        for flag, applies, default in (
+            ("audit_kind", audit, "joint"),
+            ("protocol", audit and kind in ("individual", "recoverability"), "iplc"),
+            ("samples", privacy and args.audit_sampling == "sampled", 100_000),
+            ("trials", audit and kind == "recoverability", 50),
+            ("tv_threshold", privacy, None),
+            ("t_mult", args.mode in _RUN_MODES or (audit and not privacy), 1),
+            ("transcript", args.mode in _RUN_MODES + ("replay",), None),
+        ):
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+            elif not applies:
+                run = f"the {args.audit_sampling} {kind} audit" if audit else f"--mode {args.mode}"
+                raise ValueError(f"--{flag.replace('_', '-')} is ignored by {run}")
         for flag in ("servers", "messages", "t_mult"):
             if getattr(args, flag) < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
         if args.format == "csv" and args.mode != "capacity-table":
             raise ValueError("--format csv applies to capacity-table only")
-        if args.mode in ("jplc", "iplc", "pir-psi", "pir-si"):
+        if args.mode in _RUN_MODES:
             code, report = _run_mode(args, args.mode)
         elif args.mode == "capacity-table":
             code, report = _capacity_mode(args)

@@ -13,6 +13,8 @@ and it is what the selection probabilities below are tuned for. A demand is
 planted either inside one plain row (algorithm 1, probability n D / K) or on
 one of the aligned supports (algorithm 2, probability (D + R) / K), so that
 every stream index ends up in the demanded support with probability D / K.
+The route only chooses which template support the demand fills: its D slots
+carry the demand, and the other K - D slots draw free coefficients.
 
 Each support's combination has a closed form: plain row i is C = e_i, and the
 aligned support that drops segment t is C = w_t e_(n+1) - e_(n+2), since the
@@ -25,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF, rank
@@ -41,12 +43,9 @@ class IplcEncoderOutput:
     row_space_vectors: Tuple[VectorGF, ...]
     combination_vectors: Tuple[VectorGF, ...]
     demand_index: int
-    pi: Tuple[int, ...]
-    sigma: Tuple[int, ...]
     algorithm_used: Optional[int]
     block_index: int
-    omegas: Optional[Tuple[int, ...]]
-    alphas: Dict[Tuple[int, int], int]
+    alphas: Tuple[int, ...]  # by template slot
     demand: Demand
     field: PrimeField
 
@@ -97,64 +96,6 @@ def _template_supports(
     return tuple(full + aligned)
 
 
-def free_alpha_positions(
-    num_streams: int,
-    demand_size: int,
-    algorithm: Optional[int],
-    block_index: int,
-) -> Tuple[Tuple[int, int], ...]:
-    """The (row_or_segment, position) keys whose coefficients are drawn
-    freely rather than derived from the demand, in draw order."""
-    r, n, m = partition_shape(num_streams, demand_size)
-    d = demand_size
-    full = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    segs = [(n + i, j) for i in range(1, m + 1) for j in range(1, r + 1)]
-    if r == 0 or algorithm == 1:
-        return tuple([p for p in full if p[0] != block_index] + segs)
-    if algorithm == 2:
-        return tuple(full + [(n + block_index, j) for j in range(1, r + 1)])
-    raise ValueError("algorithm must be 1 or 2 when K mod D is nonzero")
-
-
-def planted_slot_map(
-    demand: Demand,
-    num_streams: int,
-    sigma: Tuple[int, ...],
-    algorithm: Optional[int],
-    block_index: int,
-) -> Dict[int, int]:
-    """Which template slot must map to which demanded stream under pi."""
-    d = demand.size
-    r, n, m = partition_shape(num_streams, d)
-    if r == 0 or algorithm == 1:
-        return {
-            (block_index - 1) * d + j: demand.indices[sigma[j - 1] - 1]
-            for j in range(1, d + 1)
-        }
-    if algorithm == 2:
-        out = {}
-        for j in range(1, (block_index - 1) * r + 1):
-            out[n * d + j] = demand.indices[sigma[j - 1] - 1]
-        for j in range((block_index - 1) * r + 1, d + 1):
-            out[n * d + r + j] = demand.indices[sigma[j - 1] - 1]
-        return out
-    raise ValueError("algorithm must be 1 or 2 when K mod D is nonzero")
-
-
-def _complete_pi(k, constrained, rng):
-    """Extend the planted slot -> stream assignments to a full bijection."""
-    free_slots = [s for s in range(1, k + 1) if s not in constrained]
-    used = set(constrained.values())
-    free_streams = [i for i in range(1, k + 1) if i not in used]
-    rng.shuffle(free_streams)
-    pi = [0] * k
-    for slot, stream in constrained.items():
-        pi[slot - 1] = stream
-    for slot, stream in zip(free_slots, free_streams):
-        pi[slot - 1] = stream
-    return tuple(pi)
-
-
 def build_partition_matrix(
     demand: Demand,
     num_streams: int,
@@ -164,9 +105,11 @@ def build_partition_matrix(
     """n plain rows, plus two aligned rows when K mod D is nonzero.
 
     When D divides K the code is block diagonal: n = K/D plain rows, no
-    aligned rows, and the demand is always planted in a plain row.
+    aligned rows, and the demand is always planted in a plain row. The route
+    and its block only choose which template support the demand fills; the
+    rest of the build is the same on every route.
     Every draw comes from rng, in this order: the route (or, when D | K, the
-    block), sigma, the route's block, the free alphas, then pi.
+    block), sigma, the route's block, the free alphas in slot order, then pi.
     """
     k = num_streams
     d = demand.size
@@ -175,60 +118,70 @@ def build_partition_matrix(
     r, n, m = partition_shape(k, d)
     if demand.indices[-1] > k:
         raise ValueError("demand index exceeds stream count")
-    if field.q < m:
+    q = field.q
+    if q < m:
         raise ValueError(
-            f"field order {field.q} is too small: the aligned rows need "
+            f"field order {q} is too small: the aligned rows need "
             f"{m} distinct mixing points"
         )
-    omegas = tuple(m - i for i in range(1, m + 1)) if r else None  # omega_i = m - i
+    omegas = tuple(m - i for i in range(1, m + 1))  # omega_i = m - i
+    # The segment of each slot: 0 on the plain rows, i on aligned segment i.
+    segment = [0] * (n * d) + [i for i in range(1, m + 1) for _ in range(r)]
 
     if r == 0:  # D | K draws its block before sigma; seeded runs rely on it
         algorithm = None
         block = rng.randrange(1, n + 1)
-    else:
-        p1, _ = algorithm_probabilities(k, d)
-        algorithm = 1 if rng.random() < p1 else 2  # exact p1: exhaustive audits branch on it
-
-    perm = list(range(1, d + 1))
-    rng.shuffle(perm)
-    sigma = tuple(perm)
-    v = demand.coefficients.entries
+    else:  # exact p1 = nD/K: exhaustive audits branch on it
+        algorithm = 1 if rng.random() < Fraction(n * d, k) else 2
+    sigma = list(range(1, d + 1))
+    rng.shuffle(sigma)
     if algorithm is not None:
         block = rng.randrange(1, (n if algorithm == 1 else m) + 1)
-    free = free_alpha_positions(k, d, algorithm, block)
-    alphas = {key: field.rand_nonzero_int(rng) for key in free}
-    if algorithm == 2:
-        for i in range(1, m + 1):
-            if i == block:
-                continue
-            gap_inv = field.inv((omegas[block - 1] - omegas[i - 1]) % field.q)
-            for j in range(1, r + 1):
-                pos = (i - 1) * r + j if i < block else (i - 2) * r + j
-                alphas[(n + i, j)] = (v[sigma[pos - 1] - 1] * gap_inv) % field.q
-        demand_index = n + (m - block + 1)
-    else:
-        for j in range(1, d + 1):
-            alphas[(block, j)] = v[sigma[j - 1] - 1]
-        demand_index = block
-    constrained = planted_slot_map(demand, k, sigma, algorithm, block)
-    pi = _complete_pi(k, constrained, rng)
+    demand_index = n + m - block + 1 if algorithm == 2 else block
+    template = _template_supports(k, d, r, n, m)
+    planted = dict(zip(template[demand_index - 1], sigma))  # slot -> sigma_j
 
+    # Planted slot j takes v_(sigma_j) g, where g is 1 on a plain slot and
+    # 1 / (omega_block - omega_i) on aligned segment i, so the combination
+    # that drops segment `block` reads v there. Every other slot draws a
+    # free nonzero alpha, in slot order: K - D of them on every route.
+    v = demand.coefficients.entries
+    gain = {0: 1}
+    alphas = []
+    for s, i in enumerate(segment, 1):
+        if s not in planted:
+            alphas.append(field.rand_nonzero_int(rng))
+            continue
+        if i not in gain:
+            gain[i] = field.inv((omegas[block - 1] - omegas[i - 1]) % q)
+        alphas.append(v[planted[s] - 1] * gain[i] % q)
+
+    # pi sends planted slot j to stream W_(sigma_j) and the free slots, in
+    # order, to a shuffle of the undemanded streams.
+    pi = [0] * k
+    for s, j in planted.items():
+        pi[s - 1] = demand.indices[j - 1]
+    demanded = set(demand.indices)
+    streams = [i for i in range(1, k + 1) if i not in demanded]
+    rng.shuffle(streams)
+    free = (s for s in range(1, k + 1) if s not in planted)
+    for s, stream in zip(free, streams):
+        pi[s - 1] = stream
+
+    # Plain slot s fills row ceil(s / D); aligned slot s of segment i fills
+    # the two aligned rows with a and omega_i a.
     rows = [[0] * k for _ in range(n + (2 if r else 0))]
-    for i in range(1, n + 1):
-        for j in range(1, d + 1):
-            rows[i - 1][pi[(i - 1) * d + j - 1] - 1] = alphas[(i, j)]
-    for i in range(1, m + 1):
-        w_i = omegas[i - 1]
-        for j in range(1, r + 1):
-            slot = n * d + (i - 1) * r + j
-            a = alphas[(n + i, j)]
-            rows[n][pi[slot - 1] - 1] = a
-            rows[n + 1][pi[slot - 1] - 1] = (a * w_i) % field.q
+    for s, (a, i) in enumerate(zip(alphas, segment), 1):
+        col = pi[s - 1] - 1
+        if i:
+            rows[n][col] = a
+            rows[n + 1][col] = a * omegas[i - 1] % q
+        else:
+            rows[(s - 1) // d][col] = a
     g = MatrixGF(rows, field)
     if rank(g) != len(rows):
         raise ValueError(f"generator rank is below its {len(rows)} rows")
 
-    template = _template_supports(k, d, r, n, m)
     supports = tuple(tuple(sorted(pi[c - 1] for c in s)) for s in template)
     plain = [[int(i == row) for i in range(len(rows))] for row in range(n)]
     aligned = [[0] * n + [omegas[t - 1], -1] for t in range(m, 0, -1)]
@@ -240,12 +193,9 @@ def build_partition_matrix(
         row_space_vectors=u_list,
         combination_vectors=c_list,
         demand_index=demand_index,
-        pi=pi,
-        sigma=sigma,
         algorithm_used=algorithm,
         block_index=block,
-        omegas=omegas,
-        alphas=alphas,
+        alphas=tuple(alphas),
         demand=demand,
         field=field,
     )

@@ -37,9 +37,6 @@ class JplcEncoderOutput:
     row_space_vectors: Tuple[VectorGF, ...]
     combination_vectors: Tuple[VectorGF, ...]
     demand_index: int
-    pi: Tuple[int, ...]
-    omegas: Tuple[int, ...]
-    padding_coeffs: Tuple[int, ...]
     demand: Demand
     field: PrimeField
 
@@ -175,9 +172,6 @@ def build_grs_matrix(
         row_space_vectors=u_list,
         combination_vectors=c_list,
         demand_index=supports.index(w) + 1,
-        pi=pi,
-        omegas=omegas,
-        padding_coeffs=padding,
         demand=demand,
         field=field,
     )

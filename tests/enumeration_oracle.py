@@ -14,9 +14,7 @@ from plclab.gflinalg import VectorGF
 from plclab.iplc_encoder import (
     algorithm_probabilities,
     build_partition_matrix,
-    free_alpha_positions,
     partition_shape,
-    planted_slot_map,
 )
 from plclab.jplc_encoder import build_grs_matrix
 from plclab.protocol_core import Demand
@@ -50,32 +48,26 @@ def enumerate_iplc_paths(support, num_streams, field):
     v_weight = Fraction(1, (q - 1) ** d)
     # Planting route, its probability and its block count; a route with no
     # blocks (algorithm 2 when D | K, algorithm 1 when n = 0) yields no path.
+    # Every route plants the demand on D slots: the K - D others draw free
+    # alphas, and the undemanded streams fill them.
     p1, p2 = algorithm_probabilities(k, d)
     branches = [(1, p1, n), (2, p2, m)]
+    free_streams = [i for i in range(1, k + 1) if i not in support]
     for v_vals in product(range(1, q), repeat=d):
         demand = Demand(support, VectorGF(v_vals, field))
         for alg, p_alg, block_count in branches:
             for block in range(1, block_count + 1):
+                w = (
+                    v_weight
+                    * p_alg
+                    * Fraction(1, block_count)
+                    * Fraction(1, math.factorial(d))
+                    * Fraction(1, math.factorial(k - d))
+                    * Fraction(1, (q - 1) ** (k - d))
+                )
                 for sigma in permutations(range(1, d + 1)):
-                    planted = planted_slot_map(demand, k, sigma, alg, block)
-                    free_streams = [
-                        i
-                        for i in range(1, k + 1)
-                        if i not in set(planted.values())
-                    ]
-                    keys = free_alpha_positions(k, d, alg, block)
-                    w = (
-                        v_weight
-                        * p_alg
-                        * Fraction(1, block_count)
-                        * Fraction(1, math.factorial(d))
-                        * Fraction(1, math.factorial(k - d))
-                        * Fraction(1, (q - 1) ** len(keys))
-                    )
                     for stream_perm in permutations(free_streams):
-                        for alpha_vals in product(
-                            range(1, q), repeat=len(keys)
-                        ):
+                        for alpha_vals in product(range(1, q), repeat=k - d):
                             draws = PinnedRandom(
                                 random=[_ROUTE_PIN[alg]] if r else [],
                                 randrange=[block, *alpha_vals],

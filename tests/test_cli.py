@@ -244,8 +244,8 @@ def _bad_side_info(draw):
 @st.composite
 def _unsupported_option(draw):
     """A valid run asked for something it cannot give: CSV outside the
-    capacity table, a sampled audit of the full layer, or an audit flag that
-    the chosen audit would ignore."""
+    capacity table, a sampled audit of the full layer, or an option that the
+    chosen mode or audit would ignore."""
     joint = _AUDITS[0]
     sampled_joint = _AUDITS[1]
     recoverability = _AUDITS[2]
@@ -259,6 +259,15 @@ def _unsupported_option(draw):
         recoverability + ["--samples=5"],
         joint + ["--trials=3"],
         sampled_joint + ["--samples=5", "--trials=3"],
+        recoverability + ["--tv-threshold=0.5"],
+        joint + ["--t-mult=2"],
+        joint + ["--transcript=unused.plct"],
+        _RUNS["jplc"] + ["--trials=3", "--protocol=iplc"],
+        _RUNS["jplc"] + ["--audit-kind=individual"],
+        _RUNS["iplc"] + ["--samples=7"],
+        _RUNS["pir-si"] + ["--tv-threshold=0.3"],
+        ["--mode=capacity-table", "--transcript=unused.plct"],
+        ["--mode=capacity-table", "--trials=3"],
     ]))
     if draw(st.booleans()):
         return audit
@@ -283,6 +292,12 @@ def _csv(values):
           "--protocol=jplc"])
 @example(_AUDITS[0] + ["--samples=5"])
 @example(_AUDITS[0] + ["--trials=3"])
+# Options that the chosen mode would ignore.
+@example(_RUNS["jplc"] + ["--trials=3", "--protocol=iplc"])
+@example(_RUNS["jplc"] + ["--samples=7"])
+@example(_RUNS["jplc"] + ["--tv-threshold=0.3"])
+@example(_AUDITS[2] + ["--tv-threshold=0.5"])
+@example(["--mode=capacity-table", "--transcript=unused.plct"])
 def test_bad_arguments_exit_1_with_an_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

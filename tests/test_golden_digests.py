@@ -45,6 +45,16 @@ RUNS = {
         ["--mode=iplc", "--messages=9", "--demand-size=6", "--field=5", "--seed=8"],
         "521143e430bd455d4689e852e5639915124c1954988270a9eff526299ad37a59",
     ),
+    # R = 2, m = 3 aligned segments, T = 16: seed 1 plants the demand in the
+    # plain row, seed 0 on the aligned support that drops segment 2.
+    "iplc-K10-D4-q5-seed0": (
+        ["--mode=iplc", "--messages=10", "--demand-size=4", "--field=5", "--seed=0"],
+        "3646c01f382ff12c5dd0c9104828e97901b6bbedfd99eaf1368399553b0dfc85",
+    ),
+    "iplc-K10-D4-q5-seed1": (
+        ["--mode=iplc", "--messages=10", "--demand-size=4", "--field=5", "--seed=1"],
+        "b2566024a0a88d7ead675f2789ea07846ac95282d29e6a3a8a7d577427ddff4b",
+    ),
     "pir-psi": (
         ["--mode=pir-psi", "--messages=4", "--side-count=1", "--field=5", "--seed=3"],
         "35df63b9cb77875e58dca8a058b9218b7bd13fa36f2a7e337dd9c2fd11319cf0",
@@ -83,14 +93,18 @@ def test_seeded_transcript_digest(name, tmp_path, capsys):
 
 
 def test_iplc_seeds_cover_both_routes(tmp_path, capsys):
-    """Algorithm 1 plants the demand in the plain row, index 1 at K=5, D=2."""
+    """Algorithm 1 plants the demand in the plain row, index 1 at n = 1.
+    Algorithm 2 plants it on the aligned support that drops segment `block`,
+    index n + m - block + 1: 3 for K=10, D=4 (n = 1, m = 3, block 2)."""
     indices = []
-    for name in ("iplc-K5-D2-seed0", "iplc-K5-D2-seed3"):
+    for name in ("iplc-K5-D2-seed0", "iplc-K5-D2-seed3",
+                 "iplc-K10-D4-q5-seed0", "iplc-K10-D4-q5-seed1"):
         path = tmp_path / f"{name}.plct"
         assert main(RUNS[name][0] + [f"--transcript={path}"]) == EXIT_OK
         indices.append(read_transcript(str(path))["randomness"]["demand_index"])
     capsys.readouterr()
     assert indices[0] > 1 and indices[1] == 1
+    assert indices[2:] == [3, 1]
 
 
 @pytest.mark.parametrize("name", sorted(AUDITS))

@@ -8,9 +8,7 @@ from plclab.gflinalg import VectorGF, rank, row_space_vector_with_support, vec_m
 from plclab.iplc_encoder import (
     algorithm_probabilities,
     build_partition_matrix,
-    free_alpha_positions,
     partition_shape,
-    planted_slot_map,
 )
 from plclab.jplc_encoder import scaled_combinations
 from plclab.protocol_core import Demand, random_dataset, random_demand
@@ -65,8 +63,8 @@ def test_golden_derived_alphas():
     # The two aligned-row entries outside the free segment follow from the
     # alignment weights (omega_1, -1) applied to the free column pair.
     enc = _golden_encoder()
-    assert enc.alphas[(3, 1)] == 2
-    assert enc.alphas[(4, 1)] == 2
+    assert enc.alphas[3] == 2  # slot 4, aligned segment 2
+    assert enc.alphas[4] == 2  # slot 5, aligned segment 3
 
 
 def test_golden_combination_row_for_demand():
@@ -142,17 +140,6 @@ def test_planted_demand_across_random_draws():
             expect = {i: v1_inv * c % field.q for i, c in zip(w, v.entries)}
             for col in range(1, k + 1):
                 assert u_star.entries[col - 1] == expect.get(col, 0)
-
-
-def test_free_positions_and_planted_slots_are_consistent():
-    """The helper pair must describe disjoint, exhaustive slot roles."""
-    demand = Demand((1, 3), VectorGF([1, 2], F3))
-    for alg, block in [(2, 1), (2, 2), (2, 3)]:
-        planted = planted_slot_map(demand, 5, (2, 1), alg, block)
-        keys = free_alpha_positions(5, 2, alg, block)
-        assert len(planted) == 2
-        assert set(planted.values()) == {1, 3}
-        assert len(keys) == len(set(keys))
 
 
 def test_field_too_small_for_alignment():

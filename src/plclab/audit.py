@@ -611,12 +611,14 @@ def _engine_map(plan_a, plan_b, server: int, stream_length: int):
     plan_a onto plan_b's, or None.
 
     Both plans keep the same sums, since the trim depends on the stack only.
-    Under identity randomness engine position v of repetition r is served at
+    Terms pair under their streams' own labels (`QueryPlan.terms`): each plan
+    stores its sums under the labels of the skeleton it relabels. Under
+    identity randomness engine position v of repetition r is served at
     v + r N^M + 1, so the map of one repetition repeats at each offset.
     """
     kept = plan_a.kept[server]
     found = kept == plan_b.kept[server] and _sum_map(
-        (plan_a.sums[i], plan_b.sums[i]) for block in kept for i in block
+        (plan_a.terms(i), plan_b.terms(i)) for block in kept for i in block
     )
     if not found:
         return None

@@ -481,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--servers", type=int, default=2, help="N, number of servers")
     parser.add_argument("--messages", type=int, default=3, help="K, number of messages")
-    parser.add_argument("--field", type=int, default=3, help="prime field order q")
+    parser.add_argument(
+        "--field", type=int, default=None, help="prime field order q (default 3)"
+    )
     parser.add_argument(
         "--support", type=str, default=None, help="demand support, e.g. 1,3"
     )
@@ -525,12 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit mode only (default joint)",
     )
     parser.add_argument(
-        "--audit-layer", choices=["encoder", "full"], default="encoder",
-        help="full adds each server's queries to the view; joint audits only, "
-        "exhaustive only, since sampled query views almost never repeat",
+        "--audit-layer", choices=["encoder", "full"], default=None,
+        help="audit mode only (default encoder); full adds each server's queries "
+        "to the view; joint audits only, exhaustive only, since sampled query "
+        "views almost never repeat",
     )
     parser.add_argument(
-        "--audit-sampling", choices=["exhaustive", "sampled"], default="exhaustive"
+        "--audit-sampling", choices=["exhaustive", "sampled"], default=None,
+        help="audit mode only (default exhaustive)",
     )
     parser.add_argument(
         "--protocol",
@@ -548,34 +552,49 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = int(os.environ.get("PLCLAB_SEED", "0"))
     audit = args.mode == "audit"
     kind = args.audit_kind or "joint"
     privacy = audit and kind != "recoverability"
+    runs = args.mode in _RUN_MODES
+    draws = runs or audit
+    demand = args.mode in ("jplc", "iplc")
+    side = args.mode in ("pir-psi", "pir-si")
+    side_audit = audit and kind in ("pir-psi", "pir-si")
     try:
         # Options of one mode or audit: each takes its default where it
         # applies, and is refused where the chosen run would ignore it.
         for flag, applies, default in (
             ("audit_kind", audit, "joint"),
+            ("audit_layer", audit, "encoder"),
+            ("audit_sampling", audit, "exhaustive"),
+            ("field", draws, 3),
+            ("seed", draws, None),
+            ("support", demand, None),
+            ("coeffs", demand, None),
+            ("demand_size", (demand and not args.support) or (audit and not side_audit), None),
+            ("side_info", side, None),
+            ("side_count", (side and not args.side_info) or side_audit, None),
+            ("target", side, None),
             ("protocol", audit and kind in ("individual", "recoverability"), "iplc"),
             ("samples", privacy and args.audit_sampling == "sampled", 100_000),
             ("trials", audit and kind == "recoverability", 50),
             ("tv_threshold", privacy, None),
-            ("t_mult", args.mode in _RUN_MODES or (audit and not privacy), 1),
-            ("transcript", args.mode in _RUN_MODES + ("replay",), None),
+            ("t_mult", runs or (audit and not privacy), 1),
+            ("transcript", runs or args.mode == "replay", None),
         ):
             if getattr(args, flag) is None:
                 setattr(args, flag, default)
             elif not applies:
                 run = f"the {args.audit_sampling} {kind} audit" if audit else f"--mode {args.mode}"
                 raise ValueError(f"--{flag.replace('_', '-')} is ignored by {run}")
+        if args.seed is None and draws:
+            args.seed = int(os.environ.get("PLCLAB_SEED", "0"))
         for flag in ("servers", "messages", "t_mult"):
             if getattr(args, flag) < 1:
                 raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
         if args.format == "csv" and args.mode != "capacity-table":
             raise ValueError("--format csv applies to capacity-table only")
-        if args.mode in _RUN_MODES:
+        if runs:
             code, report = _run_mode(args, args.mode)
         elif args.mode == "capacity-table":
             code, report = _capacity_mode(args)

@@ -33,6 +33,12 @@ positions and r times the sums per repetition on sum indices. The
 randomness is baked into the plan once per (instance, randomness) pair:
 `reconstruct` checks the descriptor against the serialisation
 `generate_queries` made, and reuses it.
+
+The sums themselves are built once per (N, M), for target M. The scheme
+treats every stream alike but the target, so the sums for any other target
+are those for M with the streams renamed: the streams other than the target
+keep their order, and the target takes M's place. A plan stores its target's
+order of the shared sums and the renaming, which `_bake` applies per term.
 """
 
 from __future__ import annotations
@@ -167,20 +173,11 @@ def _other_servers(server: int, num_servers: int) -> List[int]:
     return [n for n in range(1, num_servers + 1) if n != server]
 
 
-def _sign_pattern(s: tuple, theta: int) -> Dict[int, int]:
-    """Sign of each stream's term in the sum over subset s: alternating over
-    the interference part, (-1)^(ell-1) on the target."""
-    rest = [x for x in s if x != theta]
-    eps_of = {x: (-1) ** i for i, x in enumerate(rest)}
-    if theta in s:
-        eps_of[theta] = (-1) ** (len(s) - 1)
-    return eps_of
-
-
-@lru_cache(maxsize=32)
-def _build_skeleton(num_servers: int, num_streams: int, theta: int):
-    """One repetition's sums, grouped by subset, and how reconstruction
-    indexes and peels them.
+@lru_cache(maxsize=16)
+def _build_skeleton(num_servers: int, num_streams: int):
+    """One repetition's sums for target theta = M, grouped by subset, and how
+    reconstruction indexes and peels them. Every other target relabels this
+    skeleton (see `_target_tables`).
 
     The scheme repeats one block of N^M engine positions; repetition r reads
     position v + r N^M and sum i + r len(sums). Positions are 0-based.
@@ -207,47 +204,106 @@ def _build_skeleton(num_servers: int, num_streams: int, theta: int):
         slot_count = (n - 1) ** (ell - 1)
         sub_slot = (n - 1) ** (ell - 2) if ell >= 2 else 0
         # Position tables for the (ell-1)-subsets, in fresh-counter order:
-        # server-major, subsets lexicographic. Tables containing the target
-        # inherit the other servers' previous-round positions instead of
-        # consuming fresh ones.
+        # server-major, subsets lexicographic. Tables containing the target M,
+        # always last, inherit the other servers' previous-round positions
+        # instead of consuming fresh ones.
         for server in range(1, n + 1):
             for u in combinations(streams, ell - 1):
-                if theta in u:
-                    rest = tuple(x for x in u if x != theta)
+                if u and u[-1] == m:
                     inherited = []
                     for n2 in _other_servers(server, n):
-                        inherited.extend(val[(n2, rest)])
+                        inherited.extend(val[(n2, u[:-1])])
                     val[(server, u)] = tuple(inherited)
                 else:
                     val[(server, u)] = tuple(range(counter, counter + slot_count))
                     counter += slot_count
-        # One sum per server, ell-subset and coordinate.
+        # One sum per server, ell-subset and coordinate. Signs alternate over
+        # the interference part and put (-1)^(ell-1) on the target; with the
+        # target last they alternate over the whole subset.
         subsets = [
-            (s, sum(1 << (x - 1) for x in s), _sign_pattern(s, theta))
-            for s in combinations(streams, ell)
+            (s, sum(1 << (x - 1) for x in s)) for s in combinations(streams, ell)
         ]
         for server in range(1, n + 1):
             others = _other_servers(server, n)
-            for s, mask, eps_of in subsets:
+            for s, mask in subsets:
                 at = first[(server, mask)] = len(sums)
                 groups[server - 1][ell - 1].append((mask, at))
                 for coord in range(slot_count):
                     sums.append(tuple(
-                        (x, val[(server, tuple(y for y in s if y != x))][coord], eps_of[x])
-                        for x in s
+                        (x, val[(server, s[:i] + s[i + 1 :])][coord], (-1) ** i)
+                        for i, x in enumerate(s)
                     ))
-                if theta not in s:
+                if s[-1] != m:
                     continue
-                rest = tuple(x for x in s if x != theta)
-                for coord, v in enumerate(val[(server, rest)]):
+                for coord, v in enumerate(val[(server, s[:-1])]):
                     src = -1
                     if ell >= 2:
-                        src = first[(others[coord // sub_slot], mask ^ 1 << (theta - 1))]
+                        src = first[(others[coord // sub_slot], mask ^ 1 << (m - 1))]
                         src += coord % sub_slot
-                    for column, value in zip(peel, (v, at + coord, src, eps_of[theta])):
+                    for column, value in zip(peel, (v, at + coord, src, (-1) ** (ell - 1))):
                         column.append(value)
     groups = tuple(tuple(map(tuple, server)) for server in groups)
     return tuple(sums), groups, first, peel
+
+
+@lru_cache(maxsize=32)
+def _target_tables(num_servers: int, num_streams: int, theta: int):
+    """(label, sums, peel) for target theta, relabelled from the theta = M
+    skeleton; its groups and first serve every target unchanged.
+
+    The scheme singles out no stream but the target. Let phi map [M] minus
+    theta onto [M-1] in order and theta to M. Fresh positions go to the
+    subsets that avoid the target in lexicographic order, which phi keeps; a
+    table whose subset holds the target concatenates the other servers'
+    tables without it; signs alternate over the interference in stream
+    order and put (-1)^(ell-1) on the target. So the skeleton for theta is
+    the one for M with stream phi(x) renamed x: the position table of (server,
+    u) is M's table of (server, phi(u)), and the sum at (server, mask, coord)
+    is M's sum at (server, phi(mask), coord), its target term moved from last
+    to its rank in the subset. Each peel row keeps v and sign; its sum and
+    source are renumbered.
+
+    sums[i] reuses the skeleton's term tuples, still under M's labels;
+    label[x] is the stream that M's stream x stands for. The theta = M
+    tables are the skeleton's own.
+    """
+    sums, groups, first, peel = _build_skeleton(num_servers, num_streams)
+    m = num_streams
+    if theta == m:
+        return tuple(range(m + 1)), sums, peel
+    label = (0, *range(1, theta), *range(theta + 1, m + 1), theta)
+    bit, below = 1 << (theta - 1), (1 << (theta - 1)) - 1
+    top = 1 << (m - 1)
+    relabelled = list(sums)
+    # index[j] is the new index of the skeleton's sum j; its last entry -1
+    # stands for the source of a round-one peel row, which has none.
+    index = [-1] * (len(sums) + 1)
+    for server, rounds in enumerate(groups, 1):
+        for ell, round_groups in enumerate(rounds):
+            count = (num_servers - 1) ** ell
+            for mask, at in round_groups:
+                # phi(mask): streams below theta stay, those above move down
+                # one, theta becomes M.
+                image = mask & below | (mask >> theta) << (theta - 1)
+                if mask & bit:
+                    image |= top
+                src = first[(server, image)]
+                index[src : src + count] = range(at, at + count)
+                if mask & bit:
+                    rank = (mask & below).bit_count()
+                    for c in range(count):
+                        t = sums[src + c]
+                        relabelled[at + c] = (*t[:rank], t[-1], *t[rank:-1])
+                else:
+                    relabelled[at : at + count] = sums[src : src + count]
+    v, at, src, sign = peel
+    moved = (
+        v,
+        array("q", map(index.__getitem__, at)),
+        array("q", map(index.__getitem__, src)),
+        sign,
+    )
+    return label, tuple(relabelled), moved
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +317,10 @@ def _wedge(stack: MatrixGF, theta: int):
     (arXiv:1710.11098): let B be the first rows of C that form a basis. A
     round-ell sum is kept exactly when its subset meets B. For x outside B
     write C_x = sum_b beta_xb C_b; for a subset s of B's complement the wedge
-    of (e_x - sum_b beta_xb e_b) over x in s, with theta ordered last as in
-    `_sign_pattern`, lies in the kernel of the round's sum map. Its e_s
-    coefficient is 1 and every other term meets B, so it expands the dropped
-    sum through kept ones.
+    of (e_x - sum_b beta_xb e_b) over x in s, with theta ordered last as the
+    sums' signs order it (see `_target_tables`), lies in the kernel of the
+    round's sum map. Its e_s coefficient is 1 and every other term meets B,
+    so it expands the dropped sum through kept ones.
 
     Returns (basis, drops): basis is B's bitmask, and drops maps each dropped
     subset s, round by round, to the (t, coefficient) pairs expressing its
@@ -406,24 +462,37 @@ def _trim_tables(stack: MatrixGF, theta: int):
 class QueryPlan:
     """The randomness-free part of one retrieval, for one repetition.
 
-    sums, first and peel come from the skeleton (see `_build_skeleton`).
-    kept[server-1][ell-1] holds the indices into sums of the round's sums
-    that survive the trim, coordinate by coordinate: the skeleton's groups
-    are kept whole, exactly when their subset meets B. drops is the trim's
-    table expanding every dropped subset's sums through kept ones (see
-    `_trim_tables`). Callers only read it.
+    label, sums and peel are the target's relabelling of the theta = M
+    skeleton, and first is the skeleton's own (see `_build_skeleton` and
+    `_target_tables`). sums[i] holds the skeleton's term tuples under M's
+    stream labels, ordered by their streams' labels under this target:
+    label[x] is the stream that M's stream x stands for, and `terms` reads a
+    sum back in those labels. kept[server-1][ell-1] holds the indices into
+    sums of the round's sums that survive the trim, coordinate by
+    coordinate: the skeleton's groups are kept whole, exactly when their
+    subset meets B. drops is the trim's table expanding every dropped
+    subset's sums through kept ones (see `_trim_tables`). Callers only read
+    it.
     """
 
+    label: Tuple[int, ...]
     sums: Tuple[tuple, ...]
     kept: Tuple[Tuple[Tuple[int, ...], ...], ...]
     drops: Dict[int, Tuple[Tuple[int, int], ...]]
     first: Dict[Tuple[int, int], int]
     peel: Tuple[array, array, array, array]
 
+    def terms(self, i: int) -> tuple:
+        """Sum i as (stream, position, eps) terms under the streams' own
+        labels."""
+        label = self.label
+        return tuple((label[x], v, eps) for x, v, eps in self.sums[i])
+
 
 def _build_plan(instance: PlcInstance) -> QueryPlan:
-    n, theta = instance.num_servers, instance.demand_index
-    sums, groups, first, peel = _build_skeleton(n, instance.num_streams, theta)
+    n, m, theta = instance.num_servers, instance.num_streams, instance.demand_index
+    _, groups, first, _ = _build_skeleton(n, m)
+    label, sums, peel = _target_tables(n, m, theta)
     basis, drops = _trim_tables(instance.combination_matrix, theta)
     kept = []
     for server in groups:
@@ -432,24 +501,26 @@ def _build_plan(instance: PlcInstance) -> QueryPlan:
             firsts = [at for mask, at in round_groups if mask & basis]
             blocks.append(tuple([at + c for c in range((n - 1) ** ell) for at in firsts]))
         kept.append(tuple(blocks))
-    return QueryPlan(sums, tuple(kept), drops, first, peel)
+    return QueryPlan(label, sums, tuple(kept), drops, first, peel)
 
 
 # ---------------------------------------------------------------------------
 # Serialisation: bake the user randomness in and normalise.
 
-def _bake(terms, tau, signs, q: int):
+def _bake(terms, label, tau, signs, q: int):
     """Serialise one sum's terms; returns (wire_sum, lead before scaling).
 
     Every coefficient s_v * eps is +1 or -1, so scaling the lead to 1 keeps
-    the terms whose sign equals the lead's and negates the others. Terms are
-    already sorted, since each stream appears once, in ascending order.
+    the terms whose sign equals the lead's and negates the others. The terms
+    carry the skeleton's stream labels and label renames them for the plan's
+    target (see `_target_tables`). The plan orders each sum by the renamed
+    streams, each appearing once, so the wire sum comes out sorted.
     """
     lead = signs[terms[0][1]] * terms[0][2]
     neg = q - 1
     wire = []
     for stream, pos, eps in terms:
-        wire.append((stream, tau[pos], 1 if signs[pos] * eps == lead else neg))
+        wire.append((label[stream], tau[pos], 1 if signs[pos] * eps == lead else neg))
     return tuple(wire), 1 if lead == 1 else neg
 
 
@@ -470,7 +541,7 @@ def _serialise(instance: PlcInstance, randomness: PlcRandomness):
         raise ValueError("randomness sized for a different stream length")
     q = instance.field.q
     plan = instance.plan
-    sums, size = plan.sums, len(plan.sums)
+    sums, size, label = plan.sums, len(plan.sums), plan.label
     tau, signs = randomness.position_map, randomness.signs
     block = len(plan.peel[0])  # N^M: the target's peel covers every position
     # Repetition 0 reads the whole tuples: its positions all lie below N^M.
@@ -485,7 +556,7 @@ def _serialise(instance: PlcInstance, randomness: PlcRandomness):
             baked = []
             for offset, tau_r, signs_r in copies:
                 for i in indices:
-                    wire, lead = _bake(sums[i], tau_r, signs_r, q)
+                    wire, lead = _bake(sums[i], label, tau_r, signs_r, q)
                     baked.append((wire, (offset + i, lead)))
             baked.sort(key=by_wire)
             block_wires, block_notes = zip(*baked) if baked else ((), ())

@@ -423,11 +423,12 @@ def leaking_engine(monkeypatch):
     positions instead of the other servers': the target's sums then share
     positions a server can see, so its view depends on the target."""
     monkeypatch.setattr(plc_engine, "_other_servers", lambda s, n: [s] * (n - 1))
-    plc_engine._build_skeleton.cache_clear()
-    plc_engine._serialise.cache_clear()
+    caches = (plc_engine._build_skeleton, plc_engine._target_tables, plc_engine._serialise)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    plc_engine._build_skeleton.cache_clear()
-    plc_engine._serialise.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -268,6 +268,20 @@ def _unsupported_option(draw):
         _RUNS["pir-si"] + ["--tv-threshold=0.3"],
         ["--mode=capacity-table", "--transcript=unused.plct"],
         ["--mode=capacity-table", "--trials=3"],
+        ["--mode=capacity-table", "--field=5"],
+        ["--mode=capacity-table", "--coeffs=1,2"],
+        ["--mode=replay", "--transcript=unused.plct", "--field=5"],
+        _RUNS["jplc"] + ["--audit-layer=encoder"],
+        _RUNS["iplc"] + ["--audit-sampling=sampled"],
+        _RUNS["jplc"] + ["--side-info=1"],
+        _RUNS["iplc"] + ["--target=1"],
+        _RUNS["jplc"] + ["--support=1,2"],
+        _RUNS["pir-psi"] + ["--demand-size=2"],
+        _RUNS["pir-si"] + ["--side-info=1"],
+        _RUNS["pir-si"] + ["--coeffs=1"],
+        joint + ["--side-count=1"],
+        recoverability + ["--target=1"],
+        ["--mode=audit", "--audit-kind=pir-psi", "--side-count=1", "--demand-size=2"],
     ]))
     if draw(st.booleans()):
         return audit
@@ -298,12 +312,26 @@ def _csv(values):
 @example(_RUNS["jplc"] + ["--tv-threshold=0.3"])
 @example(_AUDITS[2] + ["--tv-threshold=0.5"])
 @example(["--mode=capacity-table", "--transcript=unused.plct"])
+# Options that no option table covered: each of these exited 0 and ignored
+# the option, or read nothing of --field and --seed.
+@example(["--mode=jplc", "--messages=3", "--demand-size=2", "--audit-layer=full"])
+@example(["--mode=jplc", "--messages=3", "--demand-size=2", "--side-count=1", "--target=2"])
+@example(["--mode=pir-si", "--messages=4", "--side-count=1", "--support=1,2",
+          "--demand-size=3"])
+@example(["--mode=capacity-table", "--messages=3", "--field=4", "--seed=9"])
 def test_bad_arguments_exit_1_with_an_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv + ["--seed=1"])
     assert code == EXIT_USAGE, (argv, out.getvalue())
     assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+
+
+def test_seed_env_is_not_read_where_nothing_is_drawn(capsys, monkeypatch):
+    monkeypatch.setenv("PLCLAB_SEED", "not a seed")
+    code, out = _run(capsys, ["--mode", "capacity-table", "--messages", "2"])
+    assert code == EXIT_OK
+    assert json.loads(out)["mode"] == "capacity-table"
 
 
 def test_audit_mode_exhaustive(capsys):

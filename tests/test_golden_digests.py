@@ -55,6 +55,16 @@ RUNS = {
         ["--mode=iplc", "--messages=10", "--demand-size=4", "--field=5", "--seed=1"],
         "b2566024a0a88d7ead675f2789ea07846ac95282d29e6a3a8a7d577427ddff4b",
     ),
+    # M = 10 coded streams, T = 1024: seed 0 targets stream 2, which relabels
+    # the engine's skeleton, and seed 5 targets stream 10 = M, its own.
+    "jplc-K5-D2-q5-seed0": (
+        ["--mode=jplc", "--messages=5", "--demand-size=2", "--field=5", "--seed=0"],
+        "b43cc046ffe361b4737eb4481c8904206d92da0cc304b334e2859fbe59e5a251",
+    ),
+    "jplc-K5-D2-q5-seed5": (
+        ["--mode=jplc", "--messages=5", "--demand-size=2", "--field=5", "--seed=5"],
+        "54a1605da0a9d628e5bb7d80304e92536713f7c5a2dcece6fbf561833797bdd5",
+    ),
     "pir-psi": (
         ["--mode=pir-psi", "--messages=4", "--side-count=1", "--field=5", "--seed=3"],
         "35df63b9cb77875e58dca8a058b9218b7bd13fa36f2a7e337dd9c2fd11319cf0",
@@ -105,6 +115,17 @@ def test_iplc_seeds_cover_both_routes(tmp_path, capsys):
     capsys.readouterr()
     assert indices[0] > 1 and indices[1] == 1
     assert indices[2:] == [3, 1]
+
+
+def test_jplc_seeds_cover_both_targets(tmp_path, capsys):
+    """The two M = 10 runs target a stream below M and M itself."""
+    indices = []
+    for name in ("jplc-K5-D2-q5-seed0", "jplc-K5-D2-q5-seed5"):
+        path = tmp_path / f"{name}.plct"
+        assert main(RUNS[name][0] + [f"--transcript={path}"]) == EXIT_OK
+        indices.append(read_transcript(str(path))["randomness"]["demand_index"])
+    capsys.readouterr()
+    assert indices == [2, 10]
 
 
 @pytest.mark.parametrize("name", sorted(AUDITS))

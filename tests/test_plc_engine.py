@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations, islice, permutations
 from math import comb
 
@@ -20,7 +21,6 @@ from plclab.plc_engine import (
     PlcRandomness,
     _normalised_trim,
     _serialise,
-    _sign_pattern,
     _trim_tables,
     _wedge,
     answer_queries,
@@ -35,6 +35,7 @@ from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import run_jplc
 
 from pinned_rng import PinnedRandom
+from skeleton_oracle import build_skeleton, sign_pattern
 
 F3 = PrimeField(3)
 
@@ -445,6 +446,62 @@ def test_position_tables_partition_fresh_positions():
 
 
 # ---------------------------------------------------------------------------
+# One skeleton per (N, M): every target relabels the theta = M skeleton.
+
+SKELETON_SHAPES = [(1, 3), (2, 2), (2, 3), (2, 5), (2, 8), (2, 10), (3, 3), (3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("n,m", SKELETON_SHAPES)
+def test_relabelled_skeleton_equals_the_oracle(n, m):
+    """Every target's plan, read back under the streams' own labels, holds
+    the oracle's sums in the oracle's order, its groups and first indices,
+    and its peel rows in some order."""
+    stack = MatrixGF([[1]] * m, F3)
+    groups = plc_engine._build_skeleton(n, m)[1]
+    for theta in range(1, m + 1):
+        plan = PlcInstance(n, stack, theta, n**m).plan
+        sums, oracle_groups, first, peel = build_skeleton(n, m, theta)
+        assert tuple(map(plan.terms, range(len(plan.sums)))) == sums
+        assert groups == oracle_groups and plan.first == first
+        assert Counter(zip(*plan.peel)) == Counter(zip(*peel))
+
+
+def _clear_skeletons():
+    plc_engine._build_skeleton.cache_clear()
+    plc_engine._target_tables.cache_clear()
+
+
+def test_targets_share_one_skeleton():
+    """Ten targets at N=2, M=10 build one skeleton and relabel it; theta = M
+    takes the skeleton's own tables."""
+    stack = MatrixGF([[1]] * 10, F3)
+    _clear_skeletons()
+    plans = [PlcInstance(2, stack, theta, 2**10).plan for theta in range(1, 11)]
+    assert plc_engine._build_skeleton.cache_info().misses == 1
+    assert plc_engine._target_tables.cache_info().misses == 10
+    sums, _, first, peel = plc_engine._build_skeleton(2, 10)
+    assert plans[-1].sums is sums and plans[-1].peel is peel
+    assert all(plan.first is first for plan in plans)
+
+
+def test_targets_hold_little_beyond_one_skeleton():
+    """The tables of all ten targets at N=2, M=10, the shared skeleton
+    included, hold at most 3 MB; a skeleton built per target held 13 MB."""
+    _clear_skeletons()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tables = [plc_engine._target_tables(2, 10, theta) for theta in range(1, 11)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 10
+    assert held <= 3 * 2**20
+
+
+# ---------------------------------------------------------------------------
 # Properties of the closed-form trim over random full-column-rank stacks.
 
 Q_CHOICES = (2, 3, 5, 2**61 - 1)
@@ -475,7 +532,7 @@ def _sum_row(stack, s, theta):
     q, m, j_dim = stack.field.q, stack.nrows, stack.ncols
     cols = {u: i for i, u in enumerate(combinations(range(1, m + 1), len(s) - 1))}
     row = [0] * (len(cols) * j_dim)
-    for x, eps in _sign_pattern(s, theta).items():
+    for x, eps in sign_pattern(s, theta).items():
         base = cols[tuple(y for y in s if y != x)] * j_dim
         for j, c in enumerate(stack.rows[x - 1]):
             row[base + j] = (eps * c) % q

@@ -86,6 +86,23 @@ AUDITS = {
          "--demand-size=2", "--trials=5", "--seed=2"],
         "f96c0cb0f76de47f7897ae08ec7e19a5c79ffa517ba54fd439469f90f6f08ae8",
     ),
+    "pir-si-sampled": (
+        ["--mode=audit", "--audit-kind=pir-si", "--messages=5", "--side-count=1",
+         "--audit-sampling=sampled", "--samples=2000", "--seed=5"],
+        "89eb7c093c4122fb5734a6fbfa8221ec25299fcb7ce94d28bb7c4940747eeeaf",
+    ),
+    # R = 2, m = 3 aligned segments.
+    "individual-sampled-K10-D4-q5": (
+        ["--mode=audit", "--audit-kind=individual", "--messages=10", "--demand-size=4",
+         "--field=5", "--audit-sampling=sampled", "--samples=500", "--seed=2"],
+        "eb37c2853aae3125ae53a71ae9d4e6797130a8df956b01eb18f3c1b4bd259ed1",
+    ),
+    # Walks every outcome of the encoder's draws.
+    "individual-exhaustive": (
+        ["--mode=audit", "--audit-kind=individual", "--messages=5", "--demand-size=2",
+         "--field=3"],
+        "4dc633c1c41c3bb75baad0e3dcda2673f7db5763e8599d1307ce36f527bc951e",
+    ),
 }
 
 

@@ -479,8 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
             "replay",
         ],
     )
-    parser.add_argument("--servers", type=int, default=2, help="N, number of servers")
-    parser.add_argument("--messages", type=int, default=3, help="K, number of messages")
+    parser.add_argument(
+        "--servers", type=int, default=None, help="N, number of servers (default 2)"
+    )
+    parser.add_argument(
+        "--messages", type=int, default=None, help="K, number of messages (default 3)"
+    )
     parser.add_argument(
         "--field", type=int, default=None, help="prime field order q (default 3)"
     )
@@ -564,6 +568,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Options of one mode or audit: each takes its default where it
         # applies, and is refused where the chosen run would ignore it.
         for flag, applies, default in (
+            ("servers", args.mode != "replay", 2),
+            ("messages", args.mode != "replay", 3),
             ("audit_kind", audit, "joint"),
             ("audit_layer", audit, "encoder"),
             ("audit_sampling", audit, "exhaustive"),

@@ -96,6 +96,18 @@ class MatrixGF:
         object.__setattr__(self, "nrows", len(rr))
         object.__setattr__(self, "ncols", w)
 
+    @classmethod
+    def of_reduced(cls, rows: Iterable[Iterable[int]], field: PrimeField) -> "MatrixGF":
+        """Wrap rows of equal length, of ints the caller has already reduced
+        into [0, q), unchecked."""
+        a = object.__new__(cls)
+        rr = tuple(map(tuple, rows))
+        object.__setattr__(a, "rows", rr)
+        object.__setattr__(a, "field", field)
+        object.__setattr__(a, "nrows", len(rr))
+        object.__setattr__(a, "ncols", len(rr[0]) if rr else 0)
+        return a
+
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGF is immutable")
 

@@ -16,10 +16,18 @@ every stream index ends up in the demanded support with probability D / K.
 The route only chooses which template support the demand fills: its D slots
 carry the demand, and the other K - D slots draw free coefficients.
 
-Each support's combination has a closed form: plain row i is C = e_i, and the
-aligned support that drops segment t is C = w_t e_(n+1) - e_(n+2), since the
-two aligned rows carry a and w_i a on segment i, so C . G is (w_t - w_i) a
-there and vanishes exactly on segment t.
+Everything but sigma, the free alphas and pi depends only on (K, D, q), so
+it lives in a per-shape table built once: the shape (R, n, m), the points
+w_i = m - i, the slot -> segment map, the template supports, the exact route
+probability, and for each demand index its free slots, its planted slots'
+gains and its combination. A build only draws and fills.
+
+Each support's combination has a closed form, and so has its row-space
+vector U = C . G: plain row i has C = e_i, so U is G's row i; the aligned
+support that drops segment t has C = w_t e_(n+1) - e_(n+2), and since the two
+aligned rows carry a and w_i a on segment i, U = w_t row(n+1) - row(n+2) is
+(w_t - w_i) a there and vanishes exactly on segment t. Nor does the rank
+need an elimination: `check_full_rank` reads it off the code's structure.
 """
 
 from __future__ import annotations
@@ -27,11 +35,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .ffield import PrimeField
-from .gflinalg import MatrixGF, VectorGF, rank
-from .jplc_encoder import check_planted_demand, scaled_combinations
+from .gflinalg import MatrixGF, VectorGF
+from .jplc_encoder import check_planted_demand, leading_one
 from .protocol_core import Demand
 
 
@@ -84,16 +93,79 @@ def algorithm_probabilities(num_streams: int, demand_size: int) -> Tuple[Fractio
     return p1, p2
 
 
-def _template_supports(
-    k: int, d: int, r: int, n: int, m: int
-) -> Tuple[Tuple[int, ...], ...]:
-    full = [tuple(range((i - 1) * d + 1, i * d + 1)) for i in range(1, n + 1)]
-    aligned_cols = list(range(n * d + 1, n * d + m * r + 1))
-    aligned = []
-    for t in range(m, 0, -1):  # ordered by dropped segment, descending
-        drop = set(range(n * d + (t - 1) * r + 1, n * d + t * r + 1))
-        aligned.append(tuple(c for c in aligned_cols if c not in drop))
-    return tuple(full + aligned)
+class _Shape(NamedTuple):
+    """What a partition code of one (K, D, q) fixes before any draw."""
+
+    r: int
+    n: int
+    m: int
+    omegas: Tuple[int, ...]  # w_i = m - i on aligned segment i
+    segment: Tuple[int, ...]  # by slot: 0 on the plain rows, i on segment i
+    template: Tuple[Tuple[int, ...], ...]
+    p1: Optional[Fraction]  # exact route-1 probability nD/K; None when D | K
+    # By demand index: the slots outside its template support, the gain of
+    # each of its planted slots, and its combination C.
+    free: Tuple[Tuple[int, ...], ...]
+    gains: Tuple[Tuple[int, ...], ...]
+    combinations: Tuple[Tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=64)
+def _shape_table(k: int, d: int, q: int) -> _Shape:
+    r, n, m = partition_shape(k, d)
+    omegas = tuple(m - i for i in range(1, m + 1))
+    segment = (0,) * (n * d) + tuple(i for i in range(1, m + 1) for _ in range(r))
+    # Support i <= n is plain row i; support n + m - t + 1 drops segment t,
+    # so the aligned supports come by dropped segment, descending.
+    dropped = [0] * n + list(range(m, 0, -1))
+    template = tuple(
+        tuple(range((i - 1) * d + 1, i * d + 1)) if t == 0
+        else tuple(s for s in range(n * d + 1, k + 1) if segment[s - 1] != t)
+        for i, t in enumerate(dropped, 1)
+    )
+    # A planted slot of segment i takes gain 1 / (w_t - w_i), so that the
+    # combination dropping segment t reads the demand there; 1 when plain.
+    gains = tuple(
+        tuple(
+            pow((omegas[t - 1] - omegas[segment[s - 1] - 1]) % q, q - 2, q) if t else 1
+            for s in support
+        )
+        for support, t in zip(template, dropped)
+    )
+    rows = n + (2 if r else 0)
+    combinations = tuple(
+        tuple(int(j == i) for j in range(rows)) if t == 0
+        else (0,) * n + (omegas[t - 1], q - 1)
+        for i, t in enumerate(dropped)
+    )
+    return _Shape(
+        r, n, m, omegas, segment, template,
+        Fraction(n * d, k) if r else None,
+        tuple(tuple(sorted(set(range(1, k + 1)).difference(t))) for t in template),
+        gains,
+        combinations,
+    )
+
+
+def check_full_rank(alphas: Sequence[int], omegas: Sequence[int]) -> None:
+    """Raise ValueError unless the partition generator built from these
+    reduced slot multipliers and aligned points has full row rank.
+
+    Nonzero alphas and distinct omegas suffice. pi is a bijection, so plain
+    row i is nonzero on exactly its D columns, and no other row touches them;
+    the two aligned rows share their columns only with each other. Take
+    c . G = 0. On a column of plain row i only row i is nonzero, with entry
+    alpha != 0, so c_i = 0. The aligned rows hold (a, w_i a) on segment i,
+    and m = D/R + 1 >= 3, so two slots on segments i != j give the 2x2 minor
+    a_i a_j (w_j - w_i), which is nonzero; so c_(n+1) = c_(n+2) = 0.
+    """
+    if 0 in alphas:
+        raise ValueError(
+            f"generator rank is below its rows: slot {list(alphas).index(0) + 1} "
+            "has multiplier 0"
+        )
+    if len(set(omegas)) != len(omegas):
+        raise ValueError("generator rank is below its rows: aligned points repeat")
 
 
 def build_partition_matrix(
@@ -110,6 +182,9 @@ def build_partition_matrix(
     rest of the build is the same on every route.
     Every draw comes from rng, in this order: the route (or, when D | K, the
     block), sigma, the route's block, the free alphas in slot order, then pi.
+    The per-shape table holds everything else. Each U comes in closed form
+    (see the module docstring), and `check_full_rank` reads the generator's
+    rank off its structure instead of eliminating.
     """
     k = num_streams
     d = demand.size
@@ -124,72 +199,65 @@ def build_partition_matrix(
             f"field order {q} is too small: the aligned rows need "
             f"{m} distinct mixing points"
         )
-    omegas = tuple(m - i for i in range(1, m + 1))  # omega_i = m - i
-    # The segment of each slot: 0 on the plain rows, i on aligned segment i.
-    segment = [0] * (n * d) + [i for i in range(1, m + 1) for _ in range(r)]
+    shape = _shape_table(k, d, q)
 
     if r == 0:  # D | K draws its block before sigma; seeded runs rely on it
         algorithm = None
         block = rng.randrange(1, n + 1)
     else:  # exact p1 = nD/K: exhaustive audits branch on it
-        algorithm = 1 if rng.random() < Fraction(n * d, k) else 2
+        algorithm = 1 if rng.random() < shape.p1 else 2
     sigma = list(range(1, d + 1))
     rng.shuffle(sigma)
     if algorithm is not None:
         block = rng.randrange(1, (n if algorithm == 1 else m) + 1)
     demand_index = n + m - block + 1 if algorithm == 2 else block
-    template = _template_supports(k, d, r, n, m)
-    planted = dict(zip(template[demand_index - 1], sigma))  # slot -> sigma_j
+    free = shape.free[demand_index - 1]
 
-    # Planted slot j takes v_(sigma_j) g, where g is 1 on a plain slot and
-    # 1 / (omega_block - omega_i) on aligned segment i, so the combination
-    # that drops segment `block` reads v there. Every other slot draws a
-    # free nonzero alpha, in slot order: K - D of them on every route.
+    # Every free slot draws a nonzero alpha, in slot order: K - D of them on
+    # every route. Planted slot j takes v_(sigma_j) times its gain, and pi
+    # sends it to stream W_(sigma_j); the free slots, in order, go to a
+    # shuffle of the undemanded streams.
+    alphas = [0] * k
+    for s in free:
+        alphas[s - 1] = field.rand_nonzero_int(rng)
     v = demand.coefficients.entries
-    gain = {0: 1}
-    alphas = []
-    for s, i in enumerate(segment, 1):
-        if s not in planted:
-            alphas.append(field.rand_nonzero_int(rng))
-            continue
-        if i not in gain:
-            gain[i] = field.inv((omegas[block - 1] - omegas[i - 1]) % q)
-        alphas.append(v[planted[s] - 1] * gain[i] % q)
-
-    # pi sends planted slot j to stream W_(sigma_j) and the free slots, in
-    # order, to a shuffle of the undemanded streams.
     pi = [0] * k
-    for s, j in planted.items():
+    planted = zip(shape.template[demand_index - 1], sigma, shape.gains[demand_index - 1])
+    for s, j, gain in planted:
+        alphas[s - 1] = v[j - 1] * gain % q
         pi[s - 1] = demand.indices[j - 1]
     demanded = set(demand.indices)
     streams = [i for i in range(1, k + 1) if i not in demanded]
     rng.shuffle(streams)
-    free = (s for s in range(1, k + 1) if s not in planted)
     for s, stream in zip(free, streams):
         pi[s - 1] = stream
+    check_full_rank(alphas, shape.omegas)
 
     # Plain slot s fills row ceil(s / D); aligned slot s of segment i fills
-    # the two aligned rows with a and omega_i a.
+    # the two aligned rows with a and w_i a.
     rows = [[0] * k for _ in range(n + (2 if r else 0))]
-    for s, (a, i) in enumerate(zip(alphas, segment), 1):
-        col = pi[s - 1] - 1
-        if i:
-            rows[n][col] = a
-            rows[n + 1][col] = a * omegas[i - 1] % q
-        else:
-            rows[(s - 1) // d][col] = a
-    g = MatrixGF(rows, field)
-    if rank(g) != len(rows):
-        raise ValueError(f"generator rank is below its {len(rows)} rows")
+    for s in range(n * d):
+        rows[s // d][pi[s] - 1] = alphas[s]
+    if r:
+        top, bottom = rows[n], rows[n + 1]
+        for s in range(n * d, k):
+            col = pi[s] - 1
+            top[col] = alphas[s]
+            bottom[col] = alphas[s] * shape.omegas[shape.segment[s] - 1] % q
+    g = MatrixGF.of_reduced(rows, field)
 
-    supports = tuple(tuple(sorted(pi[c - 1] for c in s)) for s in template)
-    plain = [[int(i == row) for i in range(len(rows))] for row in range(n)]
-    aligned = [[0] * n + [omegas[t - 1], -1] for t in range(m, 0, -1)]
-    u_list, c_list = scaled_combinations(g, supports, plain + aligned)
+    supports = tuple(tuple(sorted(pi[c - 1] for c in s)) for s in shape.template)
+    vectors = list(g.rows[:n])
+    if r:
+        top, bottom = g.rows[n], g.rows[n + 1]
+        for t in range(m, 0, -1):
+            w = shape.omegas[t - 1]
+            vectors.append([(w * a - b) % q for a, b in zip(top, bottom)])
+    u_list, c_list = leading_one(field, supports, vectors, shape.combinations)
     out = IplcEncoderOutput(
         generator=g,
         supports=supports,
-        template_supports=template,
+        template_supports=shape.template,
         row_space_vectors=u_list,
         combination_vectors=c_list,
         demand_index=demand_index,

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF, rank
@@ -51,18 +51,29 @@ def scaled_combinations(
     supports: Sequence[Tuple[int, ...]],
     coefficients: Sequence[Sequence[int]],
 ) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
-    """For each support S and its closed-form coefficients C_S, the row-space
-    vector U_S = C_S . G and C_S itself, both scaled so that U_S leads with one.
+    """`leading_one` of U_S = C_S . G and C_S, for each support S and its
+    closed-form coefficients C_S."""
+    q = g.field.q
+    cols = tuple(zip(*g.rows))
+    products = ([sum(map(mul, c, col)) % q for col in cols] for c in coefficients)
+    return leading_one(g.field, supports, products, coefficients)
+
+
+def leading_one(
+    field: PrimeField,
+    supports: Sequence[Tuple[int, ...]],
+    vectors: Iterable[Sequence[int]],
+    coefficients: Sequence[Sequence[int]],
+) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
+    """Each support's reduced row-space vector U_S = C_S . G and its C_S,
+    both scaled so that U_S leads with one.
 
     Raises ValueError unless U_S is supported on exactly S.
     """
-    field = g.field
     q = field.q
-    cols = tuple(zip(*g.rows))
     u_list = []
     c_list = []
-    for s, c in zip(supports, coefficients, strict=True):
-        u = [sum(map(mul, c, col)) % q for col in cols]
+    for s, u, c in zip(supports, vectors, coefficients, strict=True):
         if tuple(j for j, x in enumerate(u, 1) if x) != tuple(s):
             raise ValueError(f"row space has no vector with support {s}")
         lead_inv = field.inv(u[s[0] - 1])

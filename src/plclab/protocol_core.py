@@ -78,7 +78,9 @@ class Demand:
         object.__setattr__(
             self,
             "coefficients",
-            VectorGF([coefficients.entries[i] for i in order], coefficients.field),
+            VectorGF.of_reduced(
+                [coefficients.entries[i] for i in order], coefficients.field
+            ),
         )
         object.__setattr__(self, "field", coefficients.field)
 

@@ -389,6 +389,21 @@ def test_transcript_roundtrip_and_replay(tmp_path, capsys):
     assert json.loads(out)["verified"] is True
 
 
+@pytest.mark.parametrize("option", ["--servers=5", "--messages=9"])
+def test_replay_refuses_servers_and_messages(tmp_path, capsys, option):
+    """Replay takes N and K from the transcript, so it refuses either flag
+    rather than ignore it."""
+    path = tmp_path / "run.plct"
+    code, _ = _run(capsys, ["--mode=jplc", "--demand-size=2", "--seed=2", f"--transcript={path}"])
+    assert code == EXIT_OK
+    code, _ = _run(capsys, ["--mode=replay", f"--transcript={path}"])
+    assert code == EXIT_OK
+    code = main(["--mode=replay", f"--transcript={path}", option])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"error: --{option[2:].split('=')[0]} is ignored by --mode replay" in err
+
+
 def test_replay_detects_tampered_answer(tmp_path, capsys):
     path = tmp_path / "run.plct"
     _run(

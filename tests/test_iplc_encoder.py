@@ -1,19 +1,24 @@
+import math
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
-from plclab.ffield import PrimeField
-from plclab.gflinalg import VectorGF, rank, row_space_vector_with_support, vec_mat
+from plclab import iplc_encoder
+from plclab.ffield import PrimeField, is_prime
+from plclab.gflinalg import MatrixGF, VectorGF, rank, row_space_vector_with_support, vec_mat
 from plclab.iplc_encoder import (
     algorithm_probabilities,
     build_partition_matrix,
+    check_full_rank,
     partition_shape,
 )
 from plclab.jplc_encoder import scaled_combinations
 from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import minimum_stream_length, run_iplc
 
+import partition_oracle
 from kernel_oracle import derive_combination_vectors
 from pinned_rng import PinnedRandom
 
@@ -252,3 +257,87 @@ def test_demand_from_another_field_is_rejected():
     dataset = random_dataset(F3, 5, minimum_stream_length("iplc", 2, 5, 2), random.Random(1))
     with pytest.raises(ValueError, match="demand and encoder fields differ"):
         run_iplc(2, dataset, demand, random.Random(0))
+
+
+def _oracle_shapes():
+    """Every supported (K, D, q) with K <= 10, at the smallest prime q >= m
+    and at q = 5 and 7 where those reach m."""
+    for k in range(1, 11):
+        for d in range(1, k + 1):
+            try:
+                _, _, m = partition_shape(k, d)
+            except ValueError:
+                continue
+            smallest = next(p for p in count(max(m, 2)) if is_prime(p))
+            for q in sorted({smallest, 5, 7}):
+                if q >= m:
+                    yield k, d, q
+
+
+def _same_as_oracle(demand, k, field, rng, oracle_rng):
+    """Build with the library and the oracle on two rngs in one state; the
+    outputs, field by field, and the rngs' end states must agree."""
+    enc = build_partition_matrix(demand, k, field, rng)
+    ref = partition_oracle.build_partition_matrix(demand, k, field, oracle_rng)
+    assert enc == ref
+    g = enc.generator
+    assert (g.nrows, g.ncols) == (ref.generator.nrows, ref.generator.ncols)
+    assert rank(g) == g.nrows
+    return enc
+
+
+@pytest.mark.parametrize("k, d, q", list(_oracle_shapes()))
+def test_table_build_matches_the_oracle(k, d, q):
+    """200 drawn seeds, then every route and block pinned in turn."""
+    field = PrimeField(q)
+    for seed in range(200):
+        demand = random_demand(field, k, d, random.Random(-seed))
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        _same_as_oracle(demand, k, field, rng, oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+    r, n, m = partition_shape(k, d)
+    routes = [(None, n)] if r == 0 else [(2, m)] + ([(1, n)] if n else [])
+    for algorithm, blocks in routes:
+        pin = [] if algorithm is None else [0.0 if algorithm == 1 else math.nextafter(1.0, 0.0)]
+        for block in range(1, blocks + 1):
+            demand = random_demand(field, k, d, random.Random(block))
+            draws = [
+                PinnedRandom(random.Random(block), random=pin, randrange=[block])
+                for _ in range(2)
+            ]
+            enc = _same_as_oracle(demand, k, field, *draws)
+            assert (enc.algorithm_used, enc.block_index) == (algorithm, block)
+            for pinned in draws:
+                pinned.check_consumed()
+            assert draws[0].rest.getstate() == draws[1].rest.getstate()
+
+
+def test_zero_multiplier_is_a_deficient_generator():
+    """With D = 1 a plain row is one multiplier: zeroing it zeroes the row."""
+    demand = Demand((1,), VectorGF([1], F3))
+    enc = build_partition_matrix(demand, 2, F3, random.Random(0))
+    check_full_rank(enc.alphas, ())
+    rows = [list(row) for row in enc.generator.rows]
+    rows[0] = [0, 0]
+    assert rank(MatrixGF(rows, F3)) == 1
+    with pytest.raises(ValueError, match="slot 1 has multiplier 0"):
+        check_full_rank((0,) + enc.alphas[1:], ())
+
+
+def test_repeated_aligned_points_are_a_deficient_generator(monkeypatch):
+    """With one point on every segment the second aligned row is a multiple
+    of the first; the build refuses such a table before filling G."""
+    enc = _golden_encoder()  # n = 1, m = 3, omegas (2, 1, 0)
+    check_full_rank(enc.alphas, (2, 1, 0))
+    rows = [list(row) for row in enc.generator.rows]
+    rows[2] = rows[1]  # w_i = 1 on every segment
+    assert rank(MatrixGF(rows, F3)) == 2
+    with pytest.raises(ValueError, match="aligned points repeat"):
+        check_full_rank(enc.alphas, (1, 1, 1))
+    table = iplc_encoder._shape_table
+    monkeypatch.setattr(
+        iplc_encoder, "_shape_table",
+        lambda k, d, q: table(k, d, q)._replace(omegas=(1, 1, 1)),
+    )
+    with pytest.raises(ValueError, match="generator rank is below its rows"):
+        build_partition_matrix(enc.demand, 5, F3, random.Random(0))

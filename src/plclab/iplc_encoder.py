@@ -94,11 +94,9 @@ def algorithm_probabilities(num_streams: int, demand_size: int) -> Tuple[Fractio
 
 
 class _Shape(NamedTuple):
-    """What a partition code of one (K, D, q) fixes before any draw."""
+    """What a partition code of one (K, D, q) fixes before any draw, beside
+    its `partition_shape`."""
 
-    r: int
-    n: int
-    m: int
     omegas: Tuple[int, ...]  # w_i = m - i on aligned segment i
     segment: Tuple[int, ...]  # by slot: 0 on the plain rows, i on segment i
     template: Tuple[Tuple[int, ...], ...]
@@ -139,7 +137,7 @@ def _shape_table(k: int, d: int, q: int) -> _Shape:
         for i, t in enumerate(dropped)
     )
     return _Shape(
-        r, n, m, omegas, segment, template,
+        omegas, segment, template,
         Fraction(n * d, k) if r else None,
         tuple(tuple(sorted(set(range(1, k + 1)).difference(t))) for t in template),
         gains,
@@ -234,26 +232,26 @@ def build_partition_matrix(
     check_full_rank(alphas, shape.omegas)
 
     # Plain slot s fills row ceil(s / D); aligned slot s of segment i fills
-    # the two aligned rows with a and w_i a.
+    # the two aligned rows with a and w_i a. U is G's row on a plain support,
+    # and w_t row(n+1) - row(n+2) on the one that drops segment t = m, ..., 1.
     rows = [[0] * k for _ in range(n + (2 if r else 0))]
     for s in range(n * d):
         rows[s // d][pi[s] - 1] = alphas[s]
+    aligned = []
     if r:
         top, bottom = rows[n], rows[n + 1]
         for s in range(n * d, k):
             col = pi[s] - 1
             top[col] = alphas[s]
             bottom[col] = alphas[s] * shape.omegas[shape.segment[s] - 1] % q
+        aligned = [
+            [(w * a - b) % q for a, b in zip(top, bottom)] for w in reversed(shape.omegas)
+        ]
     g = MatrixGF.of_reduced(rows, field)
-
     supports = tuple(tuple(sorted(pi[c - 1] for c in s)) for s in shape.template)
-    vectors = list(g.rows[:n])
-    if r:
-        top, bottom = g.rows[n], g.rows[n + 1]
-        for t in range(m, 0, -1):
-            w = shape.omegas[t - 1]
-            vectors.append([(w * a - b) % q for a, b in zip(top, bottom)])
-    u_list, c_list = leading_one(field, supports, vectors, shape.combinations)
+    u_list, c_list = leading_one(
+        field, supports, [*g.rows[:n], *aligned], shape.combinations
+    )
     out = IplcEncoderOutput(
         generator=g,
         supports=supports,

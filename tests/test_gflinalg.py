@@ -37,6 +37,16 @@ def test_of_reduced_equals_checked_construction():
         v.entries = (0, 0, 0)
 
 
+def test_matrix_of_reduced_equals_checked_construction():
+    m = MatrixGF.of_reduced([[1, 0, 2], [2, 2, 0]], F3)
+    assert m == MatrixGF([[4, 3, -1], [2, 2, 0]], F3)
+    assert hash(m) == hash(MatrixGF([[1, 0, 2], [2, 2, 0]], F3))
+    assert (m.nrows, m.ncols, type(m.rows[0])) == (2, 3, tuple)
+    assert (MatrixGF.of_reduced([], F3).nrows, MatrixGF.of_reduced([], F3).ncols) == (0, 0)
+    with pytest.raises(AttributeError):
+        m.rows = ()
+
+
 def test_matrix_row_column_one_based():
     m = MatrixGF([[1, 2], [0, 1], [2, 2]], F3)
     assert m.row(1).entries == (1, 2)

@@ -17,10 +17,10 @@ The route only chooses which template support the demand fills: its D slots
 carry the demand, and the other K - D slots draw free coefficients.
 
 Everything but sigma, the free alphas and pi depends only on (K, D, q), so
-it lives in a per-shape table built once: the shape (R, n, m), the points
-w_i = m - i, the slot -> segment map, the template supports, the exact route
-probability, and for each demand index its free slots, its planted slots'
-gains and its combination. A build only draws and fills.
+it lives in a per-shape table built once: the points w_i = m - i, the slot ->
+segment map, the template supports, the exact route probability, and for
+each demand index its free slots, its planted slots' gains and its
+combination. A build only draws and fills.
 
 Each support's combination has a closed form, and so has its row-space
 vector U = C . G: plain row i has C = e_i, so U is G's row i; the aligned
@@ -180,9 +180,8 @@ def build_partition_matrix(
     rest of the build is the same on every route.
     Every draw comes from rng, in this order: the route (or, when D | K, the
     block), sigma, the route's block, the free alphas in slot order, then pi.
-    The per-shape table holds everything else. Each U comes in closed form
-    (see the module docstring), and `check_full_rank` reads the generator's
-    rank off its structure instead of eliminating.
+    Everything else comes from the per-shape table and the closed forms in
+    the module docstring.
     """
     k = num_streams
     d = demand.size

@@ -103,6 +103,23 @@ AUDITS = {
          "--field=3"],
         "4dc633c1c41c3bb75baad0e3dcda2673f7db5763e8599d1307ce36f527bc951e",
     ),
+    # Exact audits: each pins exact_statistic, worst_pair (joint) and
+    # num_views, which the exact mass sums decide.
+    "joint-full-exhaustive": (
+        ["--mode=audit", "--audit-kind=joint", "--servers=2", "--messages=2",
+         "--demand-size=1", "--field=2", "--audit-layer=full"],
+        "5fb836bea2c72bc4fc9e5ec3be4b2a8dd67e7acaf17f519b0f0bb4f0393b9a43",
+    ),
+    "joint-exhaustive": (
+        ["--mode=audit", "--audit-kind=joint", "--messages=3", "--demand-size=2",
+         "--field=3"],
+        "8a1972717419f0e585d23b3c0c0081dead05167fd13f14e8ca5bf05a1e1e57f9",
+    ),
+    "pir-psi-exhaustive": (
+        ["--mode=audit", "--audit-kind=pir-psi", "--messages=3", "--side-count=1",
+         "--field=3"],
+        "36cd158645e64ff3590ca4711abcfbfee0abd7e79aa7154d3dbf8697da8a4d70",
+    ),
 }
 
 

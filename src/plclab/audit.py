@@ -165,8 +165,8 @@ def _paths(
         raise ValueError(f"unknown protocol {protocol!r}")
 
     def run(support, r):
-        coefficients = [field.rand_nonzero_int(r) for _ in support]
-        return build(Demand(support, VectorGF(coefficients, field)), r)
+        coefficients = [field.rand_nonzero_int(r) for _ in support]  # in [1, q)
+        return build(Demand(support, VectorGF.of_reduced(coefficients, field)), r)
 
     if mode == "exhaustive":
         return (
@@ -222,20 +222,33 @@ def collect(paths, views, max_paths: Optional[int] = None):
 
     views(artifact) lists the (server, view) pairs a path shows, server 0
     being the published encoder view; each gets the path's weight. Returns
-    ({view: {label: mass}}, number of paths), views in first-seen order.
-    More than max_paths paths raise ValueError.
+    ({view: {label: mass}}, number of paths), views and each view's labels in
+    first-seen order. A mass is an int when every weight is one, and an exact
+    Fraction otherwise. More than max_paths paths raise ValueError.
     """
-    mass: Dict[tuple, Dict[object, object]] = {}
+    # Numerators add as ints per (label, denominator); each label's mass is
+    # formed once at the end, so no Fraction is added per path.
+    sums: Dict[tuple, Dict[tuple, int]] = {}
+    exact = False
     count = 0
     for weight, label, artifact in paths:
+        exact = exact or type(weight) is not int
+        key = (label, weight.denominator)
+        num = weight.numerator
         for view in views(artifact):
-            per_label = mass.setdefault(view, {})
-            per_label[label] = per_label.get(label, 0) + weight
+            per_key = sums.setdefault(view, {})
+            per_key[key] = per_key.get(key, 0) + num
         count += 1
         if max_paths is not None and count > max_paths:
             raise ValueError(
                 f"path budget exceeded: more than {max_paths:,} paths; shrink the parameters"
             )
+    mass: Dict[tuple, Dict[object, object]] = {}
+    for view, per_key in sums.items():
+        per_label = mass[view] = {}
+        for (label, den), num in per_key.items():
+            m = Fraction(num, den) if exact else num
+            per_label[label] = per_label.get(label, 0) + m
     return mass, count
 
 
@@ -351,7 +364,10 @@ def _judge(
     """Collect the paths and test the labels' conditional view laws: with
     target None they must coincide pairwise, otherwise every label must keep
     posterior `target` in every view, a path counting for each label that
-    members(path label) names. Exhaustive paths stop at _PATH_BUDGET."""
+    members(path label) names. Exhaustive paths stop at _PATH_BUDGET. A
+    threshold that is not finite raises ValueError before any path is drawn."""
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"the audit threshold must be finite, got {threshold}")
     mass, weight = collect(paths, views, _PATH_BUDGET if mode == "exhaustive" else None)
     counts = _member_counts(mass, members)
     if mode == "exhaustive":

@@ -37,8 +37,8 @@ class VectorGF:
     def of_reduced(cls, entries: Iterable[int], field: PrimeField) -> "VectorGF":
         """Wrap ints the caller has already reduced into [0, q), unchecked."""
         v = object.__new__(cls)
-        object.__setattr__(v, "entries", tuple(entries))
-        object.__setattr__(v, "field", field)
+        _set_entries(v, tuple(entries))
+        _set_field(v, field)
         return v
 
     def __setattr__(self, name, value):
@@ -70,6 +70,12 @@ class VectorGF:
         c = _as_int(c, self.field)
         q = self.field.q
         return VectorGF([(c * v) % q for v in self.entries], self.field)
+
+
+# The slots' own setters, which skip object.__setattr__'s lookup by name:
+# encoders wrap two vectors per support through of_reduced.
+_set_entries = VectorGF.entries.__set__
+_set_field = VectorGF.field.__set__
 
 
 def support(v) -> Tuple[int, ...]:

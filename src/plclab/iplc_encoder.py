@@ -32,6 +32,7 @@ need an elimination: `check_full_rank` reads it off the code's structure.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +94,30 @@ def algorithm_probabilities(num_streams: int, demand_size: int) -> Tuple[Fractio
     return p1, p2
 
 
+class _ExactProbability(Fraction):
+    """An exact rational probability that `random() < p` tests in one float
+    comparison.
+
+    For a float x and the smallest float c >= p, x < p exactly when x < c:
+    x < p <= c gives x < c, and a float below c lies below p, or it would be
+    a float >= p smaller than c. Any other comparison is Fraction's, and an
+    exact walk (the audit's `_Walk`) still reads the rational p.
+    """
+
+    __slots__ = ("_ceiling",)
+
+    def __new__(cls, numerator=0, denominator=None):
+        self = super().__new__(cls, numerator, denominator)
+        c = float(self)  # correctly rounded, so c is p or a neighbour of p
+        self._ceiling = c if Fraction(c) >= self else math.nextafter(c, math.inf)
+        return self
+
+    def __gt__(self, other):  # `x < p` for a float x lands here
+        if type(other) is float:
+            return other < self._ceiling
+        return super().__gt__(other)
+
+
 class _Shape(NamedTuple):
     """What a partition code of one (K, D, q) fixes before any draw, beside
     its `partition_shape`."""
@@ -100,7 +125,7 @@ class _Shape(NamedTuple):
     omegas: Tuple[int, ...]  # w_i = m - i on aligned segment i
     segment: Tuple[int, ...]  # by slot: 0 on the plain rows, i on segment i
     template: Tuple[Tuple[int, ...], ...]
-    p1: Optional[Fraction]  # exact route-1 probability nD/K; None when D | K
+    p1: Optional[_ExactProbability]  # route 1's nD/K; None when D | K
     # By demand index: the slots outside its template support, the gain of
     # each of its planted slots, and its combination C.
     free: Tuple[Tuple[int, ...], ...]
@@ -138,7 +163,7 @@ def _shape_table(k: int, d: int, q: int) -> _Shape:
     )
     return _Shape(
         omegas, segment, template,
-        Fraction(n * d, k) if r else None,
+        _ExactProbability(n * d, k) if r else None,
         tuple(tuple(sorted(set(range(1, k + 1)).difference(t))) for t in template),
         gains,
         combinations,
@@ -247,7 +272,7 @@ def build_partition_matrix(
             [(w * a - b) % q for a, b in zip(top, bottom)] for w in reversed(shape.omegas)
         ]
     g = MatrixGF.of_reduced(rows, field)
-    supports = tuple(tuple(sorted(pi[c - 1] for c in s)) for s in shape.template)
+    supports = tuple([tuple(sorted([pi[c - 1] for c in s])) for s in shape.template])
     u_list, c_list = leading_one(
         field, supports, [*g.rows[:n], *aligned], shape.combinations
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
@@ -74,10 +74,12 @@ def leading_one(
     u_list = []
     c_list = []
     for s, u, c in zip(supports, vectors, coefficients, strict=True):
-        if tuple(j for j, x in enumerate(u, 1) if x) != tuple(s):
+        if tuple(compress(count(1), u)) != s:
             raise ValueError(f"row space has no vector with support {s}")
-        lead_inv = field.inv(u[s[0] - 1])
-        u_list.append(VectorGF.of_reduced([lead_inv * x % q for x in u], field))
+        lead_inv = pow(u[s[0] - 1], q - 2, q)  # nonzero: it leads the support
+        if lead_inv != 1:
+            u = [lead_inv * x % q for x in u]
+        u_list.append(VectorGF.of_reduced(u, field))
         c_list.append(VectorGF.of_reduced([lead_inv * x % q for x in c], field))
     return tuple(u_list), tuple(c_list)
 

@@ -63,26 +63,24 @@ class Demand:
 
     def __init__(self, indices: Sequence[int], coefficients: VectorGF):
         w = tuple(indices)
-        if len(w) != len(coefficients):
+        v = coefficients.entries
+        if len(w) != len(v):
             raise ValueError("index and coefficient counts differ")
-        if len(w) == 0:
+        if not w:
             raise ValueError("demand must touch at least one stream")
         if len(set(w)) != len(w):
             raise ValueError("demand indices must be distinct")
-        if any(i < 1 for i in w):
+        if min(w) < 1:
             raise ValueError("demand indices are 1-based")
-        if any(v == 0 for v in coefficients.entries):
+        if 0 in v:
             raise ValueError("demand coefficients must be nonzero")
-        order = sorted(range(len(w)), key=lambda i: w[i])
-        object.__setattr__(self, "indices", tuple(w[i] for i in order))
+        order = sorted(range(len(w)), key=w.__getitem__)
+        field = coefficients.field
+        object.__setattr__(self, "indices", tuple(map(w.__getitem__, order)))
         object.__setattr__(
-            self,
-            "coefficients",
-            VectorGF.of_reduced(
-                [coefficients.entries[i] for i in order], coefficients.field
-            ),
+            self, "coefficients", VectorGF.of_reduced(map(v.__getitem__, order), field)
         )
-        object.__setattr__(self, "field", coefficients.field)
+        object.__setattr__(self, "field", field)
 
     def __setattr__(self, name, value):
         raise AttributeError("Demand is immutable")

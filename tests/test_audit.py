@@ -217,6 +217,33 @@ def test_sampled_audits_reject_nonpositive_samples(audit, samples):
         audit(samples)
 
 
+@pytest.mark.parametrize(
+    "audit_call",
+    [
+        lambda r, mode, t: audit_joint_privacy(2, 3, 2, F3, rng=r, mode=mode, samples=10, threshold=t),
+        lambda r, mode, t: audit_individual_privacy(2, 5, 2, F3, rng=r, mode=mode, samples=10, threshold=t),
+        lambda r, mode, t: audit_reduction_marginal("pir-si", 2, 4, 1, F3, rng=r, mode=mode, samples=10, threshold=t),
+    ],
+    ids=["joint", "individual", "reduction"],
+)
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_audits_reject_a_threshold_that_is_not_finite(audit_call, mode, threshold):
+    """inf overflowed the exhaustive audit's rational bound and passed a
+    sampled audit, and nan failed every audit; now each raises before any
+    path is drawn, so the rng is untouched."""
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        audit_call(rng, mode, threshold)
+    assert rng.getstate() == state
+
+
+def test_full_layer_audit_rejects_a_threshold_that_is_not_finite():
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        audit_joint_privacy(2, 2, 1, PrimeField(2), layer="full", threshold=float("inf"))
+
+
 @pytest.mark.parametrize("num_servers", [0, -5])
 def test_individual_privacy_rejects_fewer_than_one_server(num_servers):
     """The iplc encoder never reads N, so only the audit's own check stops a

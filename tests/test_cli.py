@@ -319,6 +319,19 @@ def _csv(values):
 @example(["--mode=pir-si", "--messages=4", "--side-count=1", "--support=1,2",
           "--demand-size=3"])
 @example(["--mode=capacity-table", "--messages=3", "--field=4", "--seed=9"])
+# A threshold that is not finite: inf overflowed the exhaustive audit's
+# rational bound and passed a sampled audit with a non-JSON report, and nan
+# failed every audit.
+@example(["--mode=audit", "--audit-kind=joint", "--messages=3", "--demand-size=2",
+          "--field=3", "--tv-threshold=inf"])
+@example(["--mode=audit", "--audit-kind=individual", "--messages=5", "--demand-size=2",
+          "--audit-sampling=sampled", "--samples=10", "--tv-threshold=inf"])
+@example(["--mode=audit", "--audit-kind=individual", "--messages=5", "--demand-size=2",
+          "--audit-sampling=sampled", "--samples=10", "--tv-threshold=nan"])
+@example(["--mode=audit", "--audit-kind=pir-si", "--messages=4", "--side-count=1",
+          "--tv-threshold=-inf"])
+@example(["--mode=audit", "--audit-kind=joint", "--messages=3", "--demand-size=2",
+          "--tv-threshold=nan"])
 def test_bad_arguments_exit_1_with_an_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

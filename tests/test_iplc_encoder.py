@@ -5,7 +5,7 @@ from itertools import count
 
 import pytest
 
-from plclab import iplc_encoder
+from plclab import audit, iplc_encoder
 from plclab.ffield import PrimeField, is_prime
 from plclab.gflinalg import MatrixGF, VectorGF, rank, row_space_vector_with_support, vec_mat
 from plclab.iplc_encoder import (
@@ -115,6 +115,36 @@ def test_algorithm_probabilities_match_block_counts():
     p1, p2 = algorithm_probabilities(5, 2)
     assert p1 == Fraction(2, 5)
     assert p2 == Fraction(3, 5)
+
+
+def _route_shapes():
+    """Every supported (K, D) with K <= 10 that has two routes (D does not
+    divide K)."""
+    for k in range(1, 11):
+        for d in range(1, k + 1):
+            if k % d and d % (k % d) == 0:
+                yield k, d
+
+
+@pytest.mark.parametrize("k, d", list(_route_shapes()))
+def test_route_comparison_is_exact(k, d):
+    """`random() < p1` on a float, through the table's one float comparison,
+    decides exactly as the rational comparison does, and an exact walk still
+    reads the rational p1 and still refuses a float."""
+    _, n, _ = partition_shape(k, d)
+    exact = Fraction(n * d, k)
+    p1 = iplc_encoder._shape_table(k, d, 11).p1  # 11 >= m for every K <= 10
+    assert p1 == exact and p1 == algorithm_probabilities(k, d)[0]
+    f = float(exact)
+    rng = random.Random(100 * k + d)
+    xs = [f, math.nextafter(f, -math.inf), math.nextafter(f, math.inf), 0.0,
+          math.nextafter(1.0, 0.0)] + [rng.random() for _ in range(1000)]
+    for x in xs:
+        assert (x < p1) == (Fraction(x) < exact), x
+    walked = list(audit._outcomes(lambda r: r.random() < p1))
+    assert walked == [(w, b) for w, b in ((exact, True), (1 - exact, False)) if w]
+    with pytest.raises(TypeError, match="exact probability"):
+        list(audit._outcomes(lambda r: r.random() < float(p1)))
 
 
 def test_block_diagonal_case_r0():

@@ -91,14 +91,16 @@ def test_demand_sorts_indices_with_coefficients():
 
 
 def test_demand_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="demand indices must be distinct"):
         Demand((1, 1), VectorGF([1, 2], F3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="demand indices are 1-based"):
         Demand((0, 2), VectorGF([1, 2], F3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="demand coefficients must be nonzero"):
         Demand((1, 2), VectorGF([1, 0], F3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="demand must touch at least one stream"):
         Demand((), VectorGF([], F3))
+    with pytest.raises(ValueError, match="index and coefficient counts differ"):
+        Demand((1, 2, 3), VectorGF([1, 2], F3))
 
 
 def test_demand_evaluate_is_direct_combination():

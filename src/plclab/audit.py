@@ -223,8 +223,8 @@ def collect(paths, views, max_paths: Optional[int] = None):
     views(artifact) lists the (server, view) pairs a path shows, server 0
     being the published encoder view; each gets the path's weight. Returns
     ({view: {label: mass}}, number of paths), views and each view's labels in
-    first-seen order. A mass is an int when every weight is one, and an exact
-    Fraction otherwise. More than max_paths paths raise ValueError.
+    first-seen order. A mass is an int when every weight is an int (sampled
+    paths), and an exact Fraction otherwise. More than max_paths paths raise ValueError.
     """
     # Numerators add as ints per (label, denominator); each label's mass is
     # formed once at the end, so no Fraction is added per path.

@@ -201,7 +201,7 @@ def _with_queries(paths, num_servers, stream_length):
 
 def _encoder_view(enc) -> tuple:
     """The published artifact: generator rows and combination vectors."""
-    return (enc.generator.rows, tuple(cv.entries for cv in enc.combination_vectors))
+    return (enc.generator.rows, tuple([cv.entries for cv in enc.combination_vectors]))
 
 
 def _published_view(enc) -> tuple:
@@ -223,32 +223,34 @@ def collect(paths, views, max_paths: Optional[int] = None):
     views(artifact) lists the (server, view) pairs a path shows, server 0
     being the published encoder view; each gets the path's weight. Returns
     ({view: {label: mass}}, number of paths), views and each view's labels in
-    first-seen order. A mass is an int when every weight is an int (sampled
-    paths), and an exact Fraction otherwise. More than max_paths paths raise ValueError.
+    first-seen order. Int weights (sampled paths) add as ints. An exact
+    Fraction weight adds its numerator per (view, label, denominator), and
+    each label's Fraction is formed once at the end, so no Fraction is added
+    per path. More than max_paths paths raise ValueError.
     """
-    # Numerators add as ints per (label, denominator); each label's mass is
-    # formed once at the end, so no Fraction is added per path.
-    sums: Dict[tuple, Dict[tuple, int]] = {}
+    mass: Dict[tuple, Dict[object, object]] = {}
     exact = False
     count = 0
     for weight, label, artifact in paths:
-        exact = exact or type(weight) is not int
-        key = (label, weight.denominator)
-        num = weight.numerator
-        for view in views(artifact):
-            per_key = sums.setdefault(view, {})
-            per_key[key] = per_key.get(key, 0) + num
+        if type(weight) is int:
+            for view in views(artifact):
+                per_label = mass.setdefault(view, {})
+                per_label[label] = per_label.get(label, 0) + weight
+        else:
+            exact = True
+            den, num = weight.denominator, weight.numerator
+            for view in views(artifact):
+                per_den = mass.setdefault(view, {}).setdefault(label, {})
+                per_den[den] = per_den.get(den, 0) + num
         count += 1
         if max_paths is not None and count > max_paths:
             raise ValueError(
                 f"path budget exceeded: more than {max_paths:,} paths; shrink the parameters"
             )
-    mass: Dict[tuple, Dict[object, object]] = {}
-    for view, per_key in sums.items():
-        per_label = mass[view] = {}
-        for (label, den), num in per_key.items():
-            m = Fraction(num, den) if exact else num
-            per_label[label] = per_label.get(label, 0) + m
+    if exact:
+        for per_label in mass.values():
+            for label, per_den in per_label.items():
+                per_label[label] = sum(Fraction(n, d) for d, n in per_den.items())
     return mass, count
 
 
@@ -316,12 +318,12 @@ def debiased_marginal_statistic(
     n = sum(nv for nv, _ in view_counts.values())
     if n == 0:
         return 0.0
+    views = [(nv, hits, 3.0 * _sigma_floor(target, nv)) for nv, hits in view_counts.values()]
     worst = 0.0
     for label in labels:
         acc = 0.0
-        for nv, hits in view_counts.values():
+        for nv, hits, allowance in views:
             p_hat = hits.get(label, 0) / nv
-            allowance = 3.0 * _sigma_floor(target, nv)
             excess = abs(p_hat - target) - allowance
             if excess > 0:
                 acc += (nv / n) * excess
@@ -344,12 +346,15 @@ def debiased_pairwise_tv_statistic(
     num_labels = len(labels)
     target = 1.0 / num_labels
     worst = 0.0
+    views = [
+        (nv, hits, 3.0 * math.sqrt(2.0) * _sigma_floor(target, nv))
+        for nv, hits in view_counts.values()
+    ]
     for a, b in combinations(labels, 2):
         acc = 0.0
-        for nv, hits in view_counts.values():
+        for nv, hits, allowance in views:
             pa = hits.get(a, 0) / nv
             pb = hits.get(b, 0) / nv
-            allowance = 3.0 * math.sqrt(2.0) * _sigma_floor(target, nv)
             excess = abs(pa - pb) - allowance
             if excess > 0:
                 acc += (nv / n) * excess

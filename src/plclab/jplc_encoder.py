@@ -52,9 +52,10 @@ def scaled_combinations(
     coefficients: Sequence[Sequence[int]],
 ) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
     """`leading_one` of U_S = C_S . G and C_S, for each support S and its
-    closed-form coefficients C_S."""
+    closed-form coefficients C_S, which may be any ints."""
     q = g.field.q
     cols = tuple(zip(*g.rows))
+    coefficients = [[x % q for x in c] for c in coefficients]
     products = ([sum(map(mul, c, col)) % q for col in cols] for c in coefficients)
     return leading_one(g.field, supports, products, coefficients)
 
@@ -65,12 +66,13 @@ def leading_one(
     vectors: Iterable[Sequence[int]],
     coefficients: Sequence[Sequence[int]],
 ) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
-    """Each support's reduced row-space vector U_S = C_S . G and its C_S,
-    both scaled so that U_S leads with one.
+    """Each support's row-space vector U_S = C_S . G and its C_S, both
+    scaled so that U_S leads with one. Both come as ints reduced into [0, q).
 
     Raises ValueError unless U_S is supported on exactly S.
     """
     q = field.q
+    wrap = VectorGF.of_reduced
     u_list = []
     c_list = []
     for s, u, c in zip(supports, vectors, coefficients, strict=True):
@@ -79,8 +81,9 @@ def leading_one(
         lead_inv = pow(u[s[0] - 1], q - 2, q)  # nonzero: it leads the support
         if lead_inv != 1:
             u = [lead_inv * x % q for x in u]
-        u_list.append(VectorGF.of_reduced(u, field))
-        c_list.append(VectorGF.of_reduced([lead_inv * x % q for x in c], field))
+            c = [lead_inv * x % q for x in c]
+        u_list.append(wrap(u, field))
+        c_list.append(wrap(c, field))
     return tuple(u_list), tuple(c_list)
 
 

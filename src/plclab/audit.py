@@ -318,7 +318,9 @@ def debiased_marginal_statistic(
     n = sum(nv for nv, _ in view_counts.values())
     if n == 0:
         return 0.0
-    views = [(nv, hits, 3.0 * _sigma_floor(target, nv)) for nv, hits in view_counts.values()]
+    views = [
+        (nv, hits, 3.0 * _sigma_floor(target, nv)) for nv, hits in view_counts.values()
+    ]
     worst = 0.0
     for label in labels:
         acc = 0.0

@@ -66,8 +66,8 @@ def leading_one(
     vectors: Iterable[Sequence[int]],
     coefficients: Sequence[Sequence[int]],
 ) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
-    """Each support's row-space vector U_S = C_S . G and its C_S, both
-    scaled so that U_S leads with one. Both come as ints reduced into [0, q).
+    """Each support's row-space vector U_S = C_S . G and its C_S, given as
+    ints reduced into [0, q), both scaled so that U_S leads with one.
 
     Raises ValueError unless U_S is supported on exactly S.
     """

@@ -184,19 +184,34 @@ def _paths(
     return sampled()
 
 
+def _over_budget(max_paths: int) -> ValueError:
+    return ValueError(
+        f"path budget exceeded: more than {max_paths:,} paths; shrink the parameters"
+    )
+
+
 def _with_queries(paths, num_servers, stream_length):
     """Extend encoder paths by every (position map, signs) pair of the
     engine's query randomness, with its exact weight. Yields (weight, label,
-    (encoder, descriptor))."""
-    per_draw = Fraction(1, math.factorial(stream_length) * 2**stream_length)
+    (encoder, descriptor)). The pairs are built once and serve every encoder
+    path. When one encoder path's T! 2^T pairs alone exceed _PATH_BUDGET,
+    the first step raises the budget's ValueError, before any path is
+    drawn."""
+    draws = math.factorial(stream_length) * 2**stream_length
+    if draws > _PATH_BUDGET:
+        raise _over_budget(_PATH_BUDGET)
+    per_draw = Fraction(1, draws)
+    randomness = [
+        PlcRandomness(tau, signs)
+        for tau in permutations(range(1, stream_length + 1))
+        for signs in product((1, -1), repeat=stream_length)
+    ]
     for w, label, enc in paths:
         stack = MatrixGF([cv.entries for cv in enc.combination_vectors], enc.field)
         instance = PlcInstance(num_servers, stack, enc.demand_index, stream_length)
         w = w * per_draw
-        for tau in permutations(range(1, stream_length + 1)):
-            for signs in product((1, -1), repeat=stream_length):
-                descriptor = generate_queries(instance, PlcRandomness(tau, signs))
-                yield w, label, (enc, descriptor)
+        for r in randomness:
+            yield w, label, (enc, generate_queries(instance, r))
 
 
 def _encoder_view(enc) -> tuple:
@@ -244,9 +259,7 @@ def collect(paths, views, max_paths: Optional[int] = None):
                 per_den[den] = per_den.get(den, 0) + num
         count += 1
         if max_paths is not None and count > max_paths:
-            raise ValueError(
-                f"path budget exceeded: more than {max_paths:,} paths; shrink the parameters"
-            )
+            raise _over_budget(max_paths)
     if exact:
         for per_label in mass.values():
             for label, per_den in per_label.items():

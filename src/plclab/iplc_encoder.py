@@ -119,9 +119,11 @@ class _ExactProbability(Fraction):
 
 
 class _Shape(NamedTuple):
-    """What a partition code of one (K, D, q) fixes before any draw, beside
-    its `partition_shape`."""
+    """What a partition code of one (K, D, q) fixes before any draw."""
 
+    r: int  # the three numbers of `partition_shape`
+    n: int
+    m: int
     omegas: Tuple[int, ...]  # w_i = m - i on aligned segment i
     segment: Tuple[int, ...]  # by slot: 0 on the plain rows, i on segment i
     template: Tuple[Tuple[int, ...], ...]
@@ -162,7 +164,7 @@ def _shape_table(k: int, d: int, q: int) -> _Shape:
         for i, t in enumerate(dropped)
     )
     return _Shape(
-        omegas, segment, template,
+        r, n, m, omegas, segment, template,
         _ExactProbability(n * d, k) if r else None,
         tuple(tuple(sorted(set(range(1, k + 1)).difference(t))) for t in template),
         gains,
@@ -210,18 +212,18 @@ def build_partition_matrix(
     """
     k = num_streams
     d = demand.size
-    if demand.field != field:
+    if demand.field is not field and demand.field != field:
         raise ValueError("demand and encoder fields differ")
-    r, n, m = partition_shape(k, d)
+    q = field.q
+    shape = _shape_table(k, d, q)  # raises as `partition_shape` does
+    r, n, m = shape.r, shape.n, shape.m
     if demand.indices[-1] > k:
         raise ValueError("demand index exceeds stream count")
-    q = field.q
     if q < m:
         raise ValueError(
             f"field order {q} is too small: the aligned rows need "
             f"{m} distinct mixing points"
         )
-    shape = _shape_table(k, d, q)
 
     if r == 0:  # D | K draws its block before sigma; seeded runs rely on it
         algorithm = None
@@ -276,7 +278,10 @@ def build_partition_matrix(
     u_list, c_list = leading_one(
         field, supports, [*g.rows[:n], *aligned], shape.combinations
     )
-    out = IplcEncoderOutput(
+    # Filled without the frozen dataclass __init__ and its one
+    # object.__setattr__ per field; equality and repr read the same fields.
+    out = object.__new__(IplcEncoderOutput)
+    vars(out).update(
         generator=g,
         supports=supports,
         template_supports=shape.template,

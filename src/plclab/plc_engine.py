@@ -28,13 +28,15 @@ enters only through signs and the row scales through one factor per subset.
 The scheme is one block of N^M positions, repeated T / N^M times. Everything
 but the user randomness is a `QueryPlan` for one repetition, built once per
 instance: its sums, grouped by subset, and the trim and reconstruction
-tables, keyed on subsets as bitmasks. Repetition r is an offset: r N^M on
-positions and r times the sums per repetition on sum indices. The
-randomness is baked into the plan once per (instance, randomness) pair:
-`reconstruct` checks the descriptor against the serialisation
-`generate_queries` made, and reuses it.
+tables, keyed on subsets as bitmasks and indexed through int arrays.
+Repetition r is an offset: r N^M on positions and r times the sums per
+repetition on sum indices. `generate_queries` bakes the randomness into the
+plan and keeps that serialisation on the instance, beside the plan:
+`reconstruct` checks the descriptor against it and reuses it. So nothing of
+a run outlives its instance.
 
-The sums themselves are built once per (N, M), for target M. The scheme
+The sums themselves are built once per (N, M), for target M, and each
+distinct term is one tuple that every sum holding it shares. The scheme
 treats every stream alike but the target, so the sums for any other target
 are those for M with the streams renamed: the streams other than the target
 keep their order, and the target takes M's place. A plan stores its target's
@@ -48,7 +50,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
@@ -64,6 +67,8 @@ class PlcInstance:
     combination_matrix stacks the public vectors C_1..C_M as rows (M x J,
     full column rank). demand_index is the hidden k*. stream_length T must be
     a multiple of num_servers ** M; the quotient is the repetition count.
+    Beside the cached plan, the instance keeps the serialisation of its last
+    `generate_queries` call.
     """
 
     num_servers: int
@@ -181,69 +186,81 @@ def _build_skeleton(num_servers: int, num_streams: int):
 
     The scheme repeats one block of N^M engine positions; repetition r reads
     position v + r N^M and sum i + r len(sums). Positions are 0-based.
-    sums[i] is a tuple of (stream, position, eps) terms, by stream.
-    groups[server-1][ell-1] lists the round's (subset bitmask, first) pairs
-    in lexicographic order of subsets, bit x-1 standing for stream x: the
-    subset's (N-1)^(ell-1) sums, one per coordinate, are
-    sums[first:first + (N-1)^(ell-1)], and first[(server, mask)] is the same
-    index. peel holds four columns with one entry per fresh position v of the
-    target, (v, sum, source, sign): the target's engine symbol at v is
-    sign * (sum - source), where source is the other server's previous-round
-    sum over the same interference, or -1 in round one, which has none. The
-    columns are int arrays, a quarter of the memory of a tuple per entry.
+    sums[i] is a tuple of (stream, position, eps) terms, by stream. Subsets
+    are bitmasks, bit x-1 standing for stream x. first[(server-1) 2^M + mask]
+    is the index of the subset's first sum at that server: its (N-1)^(ell-1)
+    sums, one per coordinate, are sums[first:first + (N-1)^(ell-1)].
+    groups[server-1][ell-1] is a pair of arrays, the round's subset masks in
+    lexicographic order of subsets (one array shared by every server) and
+    their first indices. peel holds four columns with one entry per fresh
+    position v of the target, (v, sum, source, sign): the target's engine
+    symbol at v is sign * (sum - source), where source is the other server's
+    previous-round sum over the same interference, or -1 in round one, which
+    has none. The indexes and columns are int arrays, a fraction of the
+    memory of tuples and tuple-keyed dicts.
+
+    A sum over a subset with the target is its peel source's sum plus the
+    target's term: both read the same inherited positions for the
+    interference, with the same signs. So it shares the source's term
+    tuples, and the positions tables that contain the target are never
+    built. Each distinct term is one tuple object.
     """
     n, m = num_servers, num_streams
     streams = range(1, m + 1)
-    val: Dict[tuple, Tuple[int, ...]] = {}
+    top = 1 << (m - 1)
+    total = n * sum(comb(m, ell) * (n - 1) ** (ell - 1) for ell in streams)
     sums: List[tuple] = []
-    groups = [[[] for _ in streams] for _ in range(n)]
-    first: Dict[Tuple[int, int], int] = {}
+    first = _compact([0], total) * (n << m)
+    groups = [[] for _ in range(n)]
     peel = tuple(array("q") for _ in range(4))
+    # start[(server, u)]: the first fresh position of the table of an
+    # (ell-1)-subset u without the target, allocated in fresh-counter order:
+    # server-major, subsets lexicographic. A table with the target only
+    # repeats other servers' positions, which its sums take from their peel
+    # source instead.
+    start: Dict[Tuple[int, tuple], int] = {}
     counter = 0
     for ell in streams:
         slot_count = (n - 1) ** (ell - 1)
         sub_slot = (n - 1) ** (ell - 2) if ell >= 2 else 0
-        # Position tables for the (ell-1)-subsets, in fresh-counter order:
-        # server-major, subsets lexicographic. Tables containing the target M,
-        # always last, inherit the other servers' previous-round positions
-        # instead of consuming fresh ones.
         for server in range(1, n + 1):
-            for u in combinations(streams, ell - 1):
-                if u and u[-1] == m:
-                    inherited = []
-                    for n2 in _other_servers(server, n):
-                        inherited.extend(val[(n2, u[:-1])])
-                    val[(server, u)] = tuple(inherited)
-                else:
-                    val[(server, u)] = tuple(range(counter, counter + slot_count))
-                    counter += slot_count
+            for u in combinations(range(1, m), ell - 1):
+                start[(server, u)] = counter
+                counter += slot_count
         # One sum per server, ell-subset and coordinate. Signs alternate over
         # the interference part and put (-1)^(ell-1) on the target; with the
         # target last they alternate over the whole subset.
-        subsets = [
-            (s, sum(1 << (x - 1) for x in s)) for s in combinations(streams, ell)
-        ]
+        subsets = list(combinations(streams, ell))
+        masks = _compact((sum(1 << (x - 1) for x in s) for s in subsets), (1 << m) - 1)
+        signs = [(-1) ** i for i in range(ell)]
         for server in range(1, n + 1):
             others = _other_servers(server, n)
-            for s, mask in subsets:
-                at = first[(server, mask)] = len(sums)
-                groups[server - 1][ell - 1].append((mask, at))
-                for coord in range(slot_count):
-                    sums.append(tuple(
-                        (x, val[(server, s[:i] + s[i + 1 :])][coord], (-1) ** i)
-                        for i, x in enumerate(s)
-                    ))
+            base = (server - 1) << m
+            ats = _compact((), total)
+            for s, mask in zip(subsets, masks):
+                at = first[base | mask] = len(sums)
+                ats.append(at)
                 if s[-1] != m:
+                    tables = [start[(server, s[:i] + s[i + 1 :])] for i in range(ell)]
+                    for coord in range(slot_count):
+                        sums.append(tuple([
+                            (x, v + coord, eps) for x, v, eps in zip(s, tables, signs)
+                        ]))
                     continue
-                for coord, v in enumerate(val[(server, s[:-1])]):
-                    src = -1
-                    if ell >= 2:
-                        src = first[(others[coord // sub_slot], mask ^ 1 << (m - 1))]
+                v = start[(server, s[:-1])]
+                for coord in range(slot_count):
+                    term = (m, v + coord, signs[-1])
+                    if ell == 1:
+                        src = -1
+                        sums.append((term,))
+                    else:
+                        src = first[(others[coord // sub_slot] - 1) << m | mask ^ top]
                         src += coord % sub_slot
-                    for column, value in zip(peel, (v, at + coord, src, (-1) ** (ell - 1))):
+                        sums.append((*sums[src], term))
+                    for column, value in zip(peel, (v + coord, at + coord, src, signs[-1])):
                         column.append(value)
-    groups = tuple(tuple(map(tuple, server)) for server in groups)
-    return tuple(sums), groups, first, peel
+            groups[server - 1].append((masks, ats))
+    return tuple(sums), tuple(map(tuple, groups)), first, peel
 
 
 @lru_cache(maxsize=32)
@@ -278,16 +295,17 @@ def _target_tables(num_servers: int, num_streams: int, theta: int):
     # index[j] is the new index of the skeleton's sum j; its last entry -1
     # stands for the source of a round-one peel row, which has none.
     index = [-1] * (len(sums) + 1)
-    for server, rounds in enumerate(groups, 1):
-        for ell, round_groups in enumerate(rounds):
+    for server, rounds in enumerate(groups):
+        base = server << m
+        for ell, (masks, ats) in enumerate(rounds):
             count = (num_servers - 1) ** ell
-            for mask, at in round_groups:
+            for mask, at in zip(masks, ats):
                 # phi(mask): streams below theta stay, those above move down
                 # one, theta becomes M.
                 image = mask & below | (mask >> theta) << (theta - 1)
                 if mask & bit:
                     image |= top
-                src = first[(server, image)]
+                src = first[base | image]
                 index[src : src + count] = range(at, at + count)
                 if mask & bit:
                     rank = (mask & below).bit_count()
@@ -463,8 +481,10 @@ class QueryPlan:
     """The randomness-free part of one retrieval, for one repetition.
 
     label, sums and peel are the target's relabelling of the theta = M
-    skeleton, and first is the skeleton's own (see `_build_skeleton` and
-    `_target_tables`). sums[i] holds the skeleton's term tuples under M's
+    skeleton, and first is the skeleton's own int array (see
+    `_build_skeleton` and `_target_tables`): first[(server-1) 2^M + mask] is
+    the index of the first sum of subset mask at that server, for every
+    target. sums[i] holds the skeleton's term tuples under M's
     stream labels, ordered by their streams' labels under this target:
     label[x] is the stream that M's stream x stands for, and `terms` reads a
     sum back in those labels. kept[server-1][ell-1] holds the indices into
@@ -479,7 +499,7 @@ class QueryPlan:
     sums: Tuple[tuple, ...]
     kept: Tuple[Tuple[Tuple[int, ...], ...], ...]
     drops: Dict[int, Tuple[Tuple[int, int], ...]]
-    first: Dict[Tuple[int, int], int]
+    first: array
     peel: Tuple[array, array, array, array]
 
     def terms(self, i: int) -> tuple:
@@ -497,8 +517,8 @@ def _build_plan(instance: PlcInstance) -> QueryPlan:
     kept = []
     for server in groups:
         blocks = []
-        for ell, round_groups in enumerate(server):
-            firsts = [at for mask, at in round_groups if mask & basis]
+        for ell, (masks, ats) in enumerate(server):
+            firsts = [at for mask, at in zip(masks, ats) if mask & basis]
             blocks.append(tuple([at + c for c in range((n - 1) ** ell) for at in firsts]))
         kept.append(tuple(blocks))
     return QueryPlan(label, sums, tuple(kept), drops, first, peel)
@@ -507,35 +527,35 @@ def _build_plan(instance: PlcInstance) -> QueryPlan:
 # ---------------------------------------------------------------------------
 # Serialisation: bake the user randomness in and normalise.
 
-def _bake(terms, label, tau, signs, q: int):
-    """Serialise one sum's terms; returns (wire_sum, lead before scaling).
+def _bake(terms, at: int, label, tau, signs, q: int):
+    """Serialise the sum with index at and these terms; returns (wire_sum,
+    note).
 
     Every coefficient s_v * eps is +1 or -1, so scaling the lead to 1 keeps
-    the terms whose sign equals the lead's and negates the others. The terms
-    carry the skeleton's stream labels and label renames them for the plan's
-    target (see `_target_tables`). The plan orders each sum by the renamed
-    streams, each appearing once, so the wire sum comes out sorted.
+    the terms whose sign equals the lead's and negates the others. The note
+    is at when the lead was +1, and ~at (that is -at - 1) when it was -1 and
+    the answer must be negated back. The terms carry the skeleton's stream
+    labels and label renames them for the plan's target (see
+    `_target_tables`). The plan orders each sum by the renamed streams, each
+    appearing once, so the wire sum comes out sorted.
     """
     lead = signs[terms[0][1]] * terms[0][2]
     neg = q - 1
     wire = []
     for stream, pos, eps in terms:
         wire.append((label[stream], tau[pos], 1 if signs[pos] * eps == lead else neg))
-    return tuple(wire), 1 if lead == 1 else neg
+    return tuple(wire), at if lead == 1 else ~at
 
 
-@lru_cache(maxsize=1)
 def _serialise(instance: PlcInstance, randomness: PlcRandomness):
     """The plan's kept sums, in every repetition, with the randomness baked
     in, each block in canonical order.
 
     Repetition r bakes the plan's sums against the r-th N^M slice of tau and
     the signs. Returns per_server, the wire blocks of the descriptor, and
-    notes, which holds per block the (sum index, lead) of each sum in the
-    same order, sum i of repetition r having index i + r len(sums). One
-    entry: `reconstruct` reuses the serialisation that `generate_queries`
-    just made for the same instance and randomness. The cache hands the same
-    blocks to every caller, so callers only read them.
+    notes, an int array with one entry per wire sum, block after block in
+    the descriptor's order: each sum's `_bake` note, on its index, sum i of
+    repetition r having index i + r len(sums).
     """
     if len(randomness.position_map) != instance.stream_length:
         raise ValueError("randomness sized for a different stream length")
@@ -551,28 +571,32 @@ def _serialise(instance: PlcInstance, randomness: PlcRandomness):
     by_wire = itemgetter(0)
     per_server, notes = [], []
     for server_kept in plan.kept:
-        wires, server_notes = [], []
-        for indices in server_kept:
-            baked = []
-            for offset, tau_r, signs_r in copies:
-                for i in indices:
-                    wire, lead = _bake(sums[i], label, tau_r, signs_r, q)
-                    baked.append((wire, (offset + i, lead)))
+        wires = []
+        for kept in server_kept:
+            baked = [
+                _bake(sums[i], offset + i, label, tau_r, signs_r, q)
+                for offset, tau_r, signs_r in copies
+                for i in kept
+            ]
             baked.sort(key=by_wire)
             block_wires, block_notes = zip(*baked) if baked else ((), ())
             wires.append(block_wires)
-            server_notes.append(block_notes)
+            notes += block_notes
         per_server.append(tuple(wires))
-        notes.append(tuple(server_notes))
-    return tuple(per_server), tuple(notes)
+    return tuple(per_server), array("q", notes)
 
 
 def generate_queries(
     instance: PlcInstance, randomness: PlcRandomness
 ) -> QueryDescriptor:
     """Serialise the per-server queries; all randomisation lives in
-    `randomness`."""
-    per_server, _ = _serialise(instance, randomness)
+    `randomness`.
+
+    The serialisation is kept on the instance, beside its plan, with the
+    randomness it was baked from, for `reconstruct` to reuse. So it lives as
+    long as the instance, and the next call on the instance replaces it."""
+    per_server, notes = _serialise(instance, randomness)
+    vars(instance)["_serialisation"] = randomness, per_server, notes
     return QueryDescriptor(
         num_servers=instance.num_servers,
         num_streams=instance.num_streams,
@@ -582,6 +606,19 @@ def generate_queries(
     )
 
 
+def _bad_term(term) -> ValueError:
+    return ValueError(f"descriptor term {term!r} out of range or out of order")
+
+
+def _not_int(terms) -> ValueError:
+    """The error for sums that did not evaluate to ints: the first of terms
+    that is not three ints, or else the streams' symbols."""
+    for term in terms:
+        if type(term) is not tuple or tuple(map(type, term)) != (int, int, int):
+            return _bad_term(term)
+    return ValueError("stream symbols must be ints")
+
+
 def answer_queries(
     descriptor: QueryDescriptor, streams: Sequence[Sequence[int]]
 ) -> AnswerSet:
@@ -589,9 +626,11 @@ def answer_queries(
 
     streams[k-1] holds stream k in served position space. Every server gets
     the same stream contents; only the sums differ. Descriptors arrive from
-    outside, so every term is checked: stream in [1, M], position in [1, T],
-    coefficient in [0, q), streams strictly increasing within a sum, and no
-    sum is empty.
+    outside, so every term is checked: three ints, stream in [1, M],
+    position in [1, T], coefficient in [0, q), streams strictly increasing
+    within a sum, and no sum is empty. A term that is not three ints fails
+    its indexing or leaves an answer that is not an int, which is checked
+    once per block.
     """
     q = descriptor.field_order
     m, t_len = descriptor.num_streams, descriptor.stream_length
@@ -609,17 +648,20 @@ def answer_queries(
                     raise ValueError("descriptor holds an empty sum")
                 acc = 0
                 prev = 0
-                for stream, pos, coeff in wire_sum:
-                    if not (
-                        prev < stream <= m and 1 <= pos <= t_len and 0 <= coeff < q
-                    ):
-                        raise ValueError(
-                            f"descriptor term {(stream, pos, coeff)} out of range"
-                            " or out of order"
-                        )
-                    prev = stream
-                    acc += coeff * streams[stream - 1][pos - 1]
+                try:
+                    for stream, pos, coeff in wire_sum:
+                        if not (
+                            prev < stream <= m and 1 <= pos <= t_len and 0 <= coeff < q
+                        ):
+                            raise _bad_term((stream, pos, coeff))
+                        prev = stream
+                        acc += coeff * streams[stream - 1][pos - 1]
+                except TypeError:
+                    raise _not_int(wire_sum) from None
                 vals.append(acc % q)
+            # One check per block: a sum of ints is an int.
+            if type(sum(vals)) is not int:
+                raise _not_int(chain.from_iterable(block))
             server_answers.append(tuple(vals))
         answers.append(tuple(server_answers))
     return tuple(answers)
@@ -633,13 +675,17 @@ def reconstruct(
 ) -> List[int]:
     """Recover the k*-stream (in served position space) from the answers.
 
-    The descriptor must match the serialisation of instance and randomness,
-    taken from the cache that `generate_queries` filled for the same pair
-    (or made afresh); a mismatch means the transcript was tampered with or
-    the inputs are inconsistent.
+    The descriptor must match the serialisation of instance and randomness:
+    the one `generate_queries` kept on the instance, when it was made for
+    this randomness, or else one baked afresh. A mismatch means the
+    transcript was tampered with or the inputs are inconsistent.
     """
     q = instance.field.q
-    per_server, notes = _serialise(instance, randomness)
+    held = vars(instance).get("_serialisation")
+    if held is not None and held[0] == randomness:
+        _, per_server, notes = held
+    else:
+        per_server, notes = _serialise(instance, randomness)
     if per_server != descriptor.per_server:
         raise ValueError("descriptor does not match instance and randomness")
     plan = instance.plan
@@ -651,26 +697,28 @@ def reconstruct(
     # answers come from outside, so their shape and entries are checked.
     size = len(plan.sums)
     values = [0] * (size * instance.repetitions)
-    if len(answers) != len(notes):
+    if len(answers) != len(per_server):
         raise ValueError("answer set must hold one tuple per server")
-    for server_notes, server_answers in zip(notes, answers):
-        if len(server_answers) != len(server_notes):
+    for blocks, server_answers in zip(per_server, answers):
+        if len(server_answers) != len(blocks):
             raise ValueError("answer set must hold one block per round")
-        for block_notes, got in zip(server_notes, server_answers):
-            if len(got) != len(block_notes):
-                raise ValueError("answer shape differs from descriptor")
-            for (at, lead), ans in zip(block_notes, got):
-                if type(ans) is not int or not 0 <= ans < q:
-                    raise ValueError(f"answer {ans!r} is not an int in [0, q)")
-                values[at] = (lead * ans) % q
+        if any(len(got) != len(block) for block, got in zip(blocks, server_answers)):
+            raise ValueError("answer shape differs from descriptor")
+    for at, ans in zip(notes, chain.from_iterable(chain.from_iterable(answers))):
+        if type(ans) is not int or not 0 <= ans < q:
+            raise ValueError(f"answer {ans!r} is not an int in [0, q)")
+        if at < 0:
+            values[~at] = -ans % q
+        else:
+            values[at] = ans
 
     # Expand the trimmed sums from the kept ones, repetition by repetition.
     first = plan.first
     offsets = range(0, len(values), size)
-    for server in range(1, n + 1):
+    for base in range(0, n << instance.num_streams, 1 << instance.num_streams):
         for s, combo in plan.drops.items():
-            at = first[(server, s)]
-            terms = [(first[(server, t)], lam) for t, lam in combo]
+            at = first[base | s]
+            terms = [(first[base | t], lam) for t, lam in combo]
             slot_count = (n - 1) ** (s.bit_count() - 1)
             for offset in offsets:
                 for coord in range(offset, offset + slot_count):

@@ -190,6 +190,20 @@ def test_every_exhaustive_audit_stops_at_the_path_budget(monkeypatch, audit_call
     assert "sampled" not in str(caught.value)
 
 
+def test_full_layer_refuses_up_front_what_cannot_fit(monkeypatch):
+    """At K=3 D=1 the full layer needs T = 8, and one encoder path alone has
+    8! 2^8 = 10,321,920 query draws, past the 2,000,000-path budget. The
+    audit raises the budget error before it builds an encoder or a query."""
+
+    def refuse(*args):
+        raise AssertionError("the audit enumerated a path")
+
+    monkeypatch.setattr(audit, "build_grs_matrix", refuse)
+    monkeypatch.setattr(audit, "generate_queries", refuse)
+    with pytest.raises(ValueError, match="path budget exceeded: more than 2,000,000 paths"):
+        audit_joint_privacy(2, 3, 1, PrimeField(3), layer="full")
+
+
 def test_the_path_budget_leaves_sampled_audits_alone(monkeypatch):
     monkeypatch.setattr(audit, "_PATH_BUDGET", 5)
     rep = audit_joint_privacy(2, 3, 2, F3, rng=random.Random(1), mode="sampled", samples=50)
@@ -450,7 +464,7 @@ def leaking_engine(monkeypatch):
     positions instead of the other servers': the target's sums then share
     positions a server can see, so its view depends on the target."""
     monkeypatch.setattr(plc_engine, "_other_servers", lambda s, n: [s] * (n - 1))
-    caches = (plc_engine._build_skeleton, plc_engine._target_tables, plc_engine._serialise)
+    caches = (plc_engine._build_skeleton, plc_engine._target_tables)
     for cache in caches:
         cache.cache_clear()
     yield

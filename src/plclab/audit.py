@@ -603,10 +603,10 @@ def audit_reduction_marginal(
 # Engine-layer certificate: the canonical query patterns for any two demand
 # indices differ only by a position relabeling plus sign flips, which proves
 # the randomised queries are identically distributed. The engine's
-# construction fixes the map: sum i of a plan names the same (server, round,
-# subset, coordinate) for every target, so the certificate pairs sum i across
-# the two targets, reads the map off the pairs and verifies it on the
-# serialised patterns.
+# construction fixes the map: a plan lists its kept sums by (server, round,
+# subset, coordinate) the same way for every target, so the certificate pairs
+# them across the two targets, reads the map off the pairs and verifies it on
+# the serialised patterns.
 
 def _sum_map(pairs):
     """(rho, flips) carrying the first sum of every pair onto the second, or
@@ -647,14 +647,13 @@ def _engine_map(plan_a, plan_b, server: int, stream_length: int):
     plan_a onto plan_b's, or None.
 
     Both plans keep the same sums, since the trim depends on the stack only.
-    Terms pair under their streams' own labels (`QueryPlan.terms`): each plan
-    stores its sums under the labels of the skeleton it relabels. Under
-    identity randomness engine position v of repetition r is served at
-    v + r N^M + 1, so the map of one repetition repeats at each offset.
+    `QueryPlan.kept_terms` lists them at the same places for every target,
+    under their streams' own labels. Under identity randomness engine
+    position v of repetition r is served at v + r N^M + 1, so the map of one
+    repetition repeats at each offset.
     """
-    kept = plan_a.kept[server]
-    found = kept == plan_b.kept[server] and _sum_map(
-        (plan_a.terms(i), plan_b.terms(i)) for block in kept for i in block
+    found = plan_a.trim[0].basis == plan_b.trim[0].basis and _sum_map(
+        zip(plan_a.kept_terms[server], plan_b.kept_terms[server])
     )
     if not found:
         return None

@@ -27,25 +27,33 @@ enters only through signs and the row scales through one factor per subset.
 
 The scheme is one block of N^M positions, repeated T / N^M times. Everything
 but the user randomness is a `QueryPlan` for one repetition, built once per
-instance: its sums, grouped by subset, and the trim and reconstruction
-tables, keyed on subsets as bitmasks and indexed through int arrays.
+instance from tables that are built once per shape and shared:
+
+- per (N, M): the sums, built for target M, each distinct term one tuple
+  that every sum holding it shares, with their subset groups, first indices
+  and peel columns, indexed through int arrays. The scheme treats every
+  stream alike but the target, so the sums for any other target are those
+  for M with the streams renamed: the others keep their order and the
+  target takes M's place. A target keeps only the renaming and one int
+  array of first indices under it, and `_bake` moves the target's term to
+  its rank while it renames the terms.
+- per (N, M, target, B): which sums survive the trim, as int arrays.
+- per row-normalised stack: the trim's coefficients, beside a pattern of
+  which subsets expand which that every stack of a shape shares.
+- per run: the stack's row leads, which `reconstruct` turns into one factor
+  per trimmed term.
+
 Repetition r is an offset: r N^M on positions and r times the sums per
 repetition on sum indices. `generate_queries` bakes the randomness into the
 plan and keeps that serialisation on the instance, beside the plan:
 `reconstruct` checks the descriptor against it and reuses it. So nothing of
 a run outlives its instance.
-
-The sums themselves are built once per (N, M), for target M, and each
-distinct term is one tuple that every sum holding it shares. The scheme
-treats every stream alike but the target, so the sums for any other target
-are those for M with the streams renamed: the streams other than the target
-keep their order, and the target takes M's place. A plan stores its target's
-order of the shared sums and the renaming, which `_bake` applies per term.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,17 +128,23 @@ class PlcRandomness:
     """User-private randomisation: a position bijection and per-position signs.
 
     position_map[v-1] is the served position of engine position v; signs hold
-    +1 or -1 per engine position.
+    +1 or -1 per engine position. Every entry is an int: a float or a bool
+    that compares equal to one is refused, since it would reach the
+    descriptor or the recovered stream.
     """
 
     position_map: Tuple[int, ...]
     signs: Tuple[int, ...]
 
     def __post_init__(self):
-        t = len(self.position_map)
-        if sorted(self.position_map) != list(range(1, t + 1)):
+        tau, signs = self.position_map, self.signs
+        if not {*map(type, tau), *map(type, signs)} <= {int}:
+            raise ValueError("position map and signs must hold ints")
+        # T distinct ints in [1, T] are a bijection of 1..T.
+        t = len(tau)
+        if t and (len(set(tau)) != t or min(tau) != 1 or max(tau) != t):
             raise ValueError("position map must be a bijection of 1..T")
-        if len(self.signs) != t or any(s not in (1, -1) for s in self.signs):
+        if len(signs) != t or not set(signs) <= {1, -1}:
             raise ValueError("signs must be +1/-1, one per position")
 
 
@@ -181,8 +195,8 @@ def _other_servers(server: int, num_servers: int) -> List[int]:
 @lru_cache(maxsize=16)
 def _build_skeleton(num_servers: int, num_streams: int):
     """One repetition's sums for target theta = M, grouped by subset, and how
-    reconstruction indexes and peels them. Every other target relabels this
-    skeleton (see `_target_tables`).
+    reconstruction indexes and peels them. Every other target reads this
+    skeleton under a renaming of its streams (see `_target_index`).
 
     The scheme repeats one block of N^M engine positions; repetition r reads
     position v + r N^M and sum i + r len(sums). Positions are 0-based.
@@ -264,9 +278,9 @@ def _build_skeleton(num_servers: int, num_streams: int):
 
 
 @lru_cache(maxsize=32)
-def _target_tables(num_servers: int, num_streams: int, theta: int):
-    """(label, sums, peel) for target theta, relabelled from the theta = M
-    skeleton; its groups and first serve every target unchanged.
+def _target_index(num_servers: int, num_streams: int, theta: int):
+    """(label, first) for target theta, read off the theta = M skeleton: its
+    sums, groups and peel serve every target unchanged.
 
     The scheme singles out no stream but the target. Let phi map [M] minus
     theta onto [M-1] in order and theta to M. Fresh positions go to the
@@ -274,54 +288,69 @@ def _target_tables(num_servers: int, num_streams: int, theta: int):
     table whose subset holds the target concatenates the other servers'
     tables without it; signs alternate over the interference in stream
     order and put (-1)^(ell-1) on the target. So the skeleton for theta is
-    the one for M with stream phi(x) renamed x: the position table of (server,
-    u) is M's table of (server, phi(u)), and the sum at (server, mask, coord)
-    is M's sum at (server, phi(mask), coord), its target term moved from last
-    to its rank in the subset. Each peel row keeps v and sign; its sum and
-    source are renumbered.
+    the one for M with stream phi(x) renamed x: the sum at (server, mask,
+    coord) is M's sum at (server, phi(mask), coord), its target term moved
+    from last to its rank in the subset, and the peel is M's own.
 
-    sums[i] reuses the skeleton's term tuples, still under M's labels;
-    label[x] is the stream that M's stream x stands for. The theta = M
-    tables are the skeleton's own.
+    label[x] is the stream that M's stream x stands for, and first[(server-1)
+    2^M + mask] is the skeleton index of the first sum of subset mask, in
+    theta's labels, at that server: the skeleton's first read through phi.
+    The theta = M tables are the skeleton's own.
     """
-    sums, groups, first, peel = _build_skeleton(num_servers, num_streams)
+    first = _build_skeleton(num_servers, num_streams)[2]
     m = num_streams
     if theta == m:
-        return tuple(range(m + 1)), sums, peel
+        return tuple(range(m + 1)), first
     label = (0, *range(1, theta), *range(theta + 1, m + 1), theta)
+    # phi[mask] for every bitmask: streams below theta stay, those above move
+    # down one, theta becomes M.
+    phi = [0]
+    for x in range(1, m + 1):
+        bit = 1 << (m - 1 if x == theta else x - 1 - (x > theta))
+        phi += [image | bit for image in phi]
+    moved = array(first.typecode, [
+        first[base | image] for base in range(0, num_servers << m, 1 << m) for image in phi
+    ])
+    return label, moved
+
+
+@lru_cache(maxsize=32)
+def _kept(num_servers: int, num_streams: int, theta: int, basis: int):
+    """The skeleton indices of the sums that survive the trim for target
+    theta and basis mask B, in the order `_serialise` bakes them.
+
+    kept[server-1] is a pair (ones, rounds). ones is an int array with round
+    one's indices, where no term moves, and rounds[ell-2] holds round ell's
+    block as pairs (rank, indices): rank is the place among their ell terms
+    that the sums' target term moves to from last, -1 when it stays last,
+    and indices an int array. A subset's group is kept whole, exactly when
+    it meets B; which groups meet B depends on the stack only through B. The
+    arrays take a few bytes per kept sum, and one entry serves every run of
+    the target and basis.
+    """
+    n, m = num_servers, num_streams
+    sums, groups = _build_skeleton(n, m)[:2]
+    first = _target_index(n, m, theta)[1]
     bit, below = 1 << (theta - 1), (1 << (theta - 1)) - 1
-    top = 1 << (m - 1)
-    relabelled = list(sums)
-    # index[j] is the new index of the skeleton's sum j; its last entry -1
-    # stands for the source of a round-one peel row, which has none.
-    index = [-1] * (len(sums) + 1)
+    kept = []
     for server, rounds in enumerate(groups):
         base = server << m
-        for ell, (masks, ats) in enumerate(rounds):
-            count = (num_servers - 1) ** ell
-            for mask, at in zip(masks, ats):
-                # phi(mask): streams below theta stay, those above move down
-                # one, theta becomes M.
-                image = mask & below | (mask >> theta) << (theta - 1)
-                if mask & bit:
-                    image |= top
-                src = first[base | image]
-                index[src : src + count] = range(at, at + count)
-                if mask & bit:
-                    rank = (mask & below).bit_count()
-                    for c in range(count):
-                        t = sums[src + c]
-                        relabelled[at + c] = (*t[:rank], t[-1], *t[rank:-1])
-                else:
-                    relabelled[at : at + count] = sums[src : src + count]
-    v, at, src, sign = peel
-    moved = (
-        v,
-        array("q", map(index.__getitem__, at)),
-        array("q", map(index.__getitem__, src)),
-        sign,
-    )
-    return label, tuple(relabelled), moved
+        blocks = []
+        for ell, (masks, _) in enumerate(rounds):
+            count = (n - 1) ** ell
+            parts: Dict[int, List[int]] = {}
+            for mask in masks:
+                if mask & basis:
+                    rank = (mask & below).bit_count() if mask & bit else ell
+                    at = first[base | mask]
+                    rank = -1 if rank == ell else rank
+                    parts.setdefault(rank, []).extend(range(at, at + count))
+            blocks.append(tuple(
+                (rank, _compact(ats, len(sums))) for rank, ats in sorted(parts.items())
+            ))
+        ones = blocks[0][0][1] if blocks[0] else _compact((), 0)
+        kept.append((ones, tuple(blocks[1:])))
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +365,7 @@ def _wedge(stack: MatrixGF, theta: int):
     round-ell sum is kept exactly when its subset meets B. For x outside B
     write C_x = sum_b beta_xb C_b; for a subset s of B's complement the wedge
     of (e_x - sum_b beta_xb e_b) over x in s, with theta ordered last as the
-    sums' signs order it (see `_target_tables`), lies in the kernel of the
+    sums' signs order it (see `_target_index`), lies in the kernel of the
     round's sum map. Its e_s coefficient is 1 and every other term meets B,
     so it expands the dropped sum through kept ones.
 
@@ -397,18 +426,48 @@ def _compact(values, bound: int) -> array:
 
 # Entries of the trim cache. A normalised jplc stack is fixed by the
 # evaluation point of each column, so plan-heavy (K=5) draws 5! = 120 of them;
-# at M=10 and q=7 a full cache holds about 1 MB.
+# they share one pattern, so a full cache holds their coefficients.
 _TRIM_CACHE_SIZE = 128
+
+
+@dataclass(frozen=True, eq=False)
+class _TrimPattern:
+    """Which kept subsets expand each dropped one, for one normalised stack:
+    the same for every stack of a shape.
+
+    basis is B's bitmask. keys holds each dropped subset's bitmask, round by
+    round; the kept subsets that expand keys[i] are terms[offsets[i]:
+    offsets[i + 1]], in the wedge's order.
+    """
+
+    basis: int
+    keys: array
+    offsets: array
+    terms: array
+
+
+# Patterns by content, so that the stacks of one shape share one. An entry
+# lives as long as a cached trim holds its pattern.
+_PATTERNS: "weakref.WeakValueDictionary[int, _TrimPattern]" = weakref.WeakValueDictionary()
+
+
+def _intern(pattern: _TrimPattern) -> _TrimPattern:
+    """The held pattern with this content, or this one, now held."""
+    content = (pattern.basis, pattern.keys, pattern.offsets, pattern.terms)
+    key = hash((pattern.basis, *(a.tobytes() for a in content[1:])))
+    held = _PATTERNS.get(key)
+    if held is not None and (held.basis, held.keys, held.offsets, held.terms) == content:
+        return held
+    _PATTERNS[key] = pattern
+    return pattern
 
 
 @lru_cache(maxsize=_TRIM_CACHE_SIZE)
 def _normalised_trim(stack: MatrixGF):
-    """The trim of a row-normalised stack in natural order (theta = M), as
-    flat int arrays: (basis, keys, offsets, terms, coefficients).
-
-    keys holds each dropped subset's bitmask, round by round; the terms of
-    keys[i] are terms[offsets[i]:offsets[i + 1]], in the wedge's order, with
-    the matching coefficients.
+    """The trim of a row-normalised stack in natural order (theta = M):
+    (pattern, coefficients), the `_TrimPattern` shared by every stack with
+    the same one, and an int array with the coefficient of each of its
+    terms.
     """
     q, m = stack.field.q, stack.nrows
     basis, drops = _wedge(stack, m)
@@ -419,58 +478,59 @@ def _normalised_trim(stack: MatrixGF):
             coeffs.append(c)
         offsets.append(len(terms))
     full = (1 << m) - 1
-    return (
+    pattern = _TrimPattern(
         basis,
         _compact(drops.keys(), full),
         _compact(offsets, len(terms)),
         _compact(terms, full),
-        _compact(coeffs, q - 1),
     )
+    return _intern(pattern), _compact(coeffs, q - 1)
 
 
-def _trim_tables(stack: MatrixGF, theta: int):
-    """The trim for (stack, theta) in `_wedge`'s encoding: (basis, drops),
-    with B's bitmask and, for each dropped subset's bitmask s, the (t,
-    coefficient) pairs expressing its sum through kept sums t at the same
-    server and coordinate. A subset is kept exactly when it meets B.
+def _subset_products(values, theta: int, q: int) -> List[int]:
+    """sigma(x) times the product of values[y - 1] over y in x, for every
+    subset bitmask x, where sigma(x) = (-1)^|{z in x : z > theta}| when theta
+    is in x, 1 otherwise. Built a stream at a time: adding stream z > theta
+    to x flips sigma exactly when theta is in x."""
+    table = [1]
+    half = 1 << (theta - 1)
+    for z, v in enumerate(values, 1):
+        if z <= theta:
+            table += [t * v % q for t in table]
+        else:
+            flip = ([v] * half + [q - v] * half) * (len(table) // (2 * half))
+            table += [t * f % q for t, f in zip(table, flip)]
+    return table
 
-    The trim is cached once per row-normalised stack, in natural order, and
-    carried over to (stack, theta) here. Take C = Lambda C' with C'
-    row-normalised and lambda_x the lead of row x (1 for a zero row). B is
-    unchanged by row scales. The coefficient of each dropped s on a kept t is
-    multiplied by sigma(s) sigma(t) lambda_s / lambda_t, where lambda_s is
-    the product of the lambda_x over x in s and sigma(s) =
-    (-1)^|{z in s : z > theta}| when theta is in s, 1 otherwise: the sign that
-    moves theta to the end. The pattern does not involve positions, so one
-    table covers every server, repetition and coordinate.
+
+def _trim_tables(instance: PlcInstance):
+    """The trim for the instance's stack and target, as flat arrays: (basis,
+    keys, offsets, terms, lams). The sum of each dropped subset keys[i] is
+    the sum over j in [offsets[i], offsets[i + 1]) of lams[j] times the sum
+    of kept subset terms[j], at the same server and coordinate. A subset is
+    kept exactly when it meets B.
+
+    The plan holds the trim of its row-normalised stack, in natural order,
+    and this carries it over to (stack, theta), one run at a time. Take C =
+    Lambda C' with C' row-normalised and lambda_x the lead of row x (1 for a
+    zero row). B is unchanged by row scales. The coefficient of each dropped
+    s on a kept t is multiplied by sigma(s) sigma(t) lambda_s / lambda_t,
+    where lambda_s is the product of the lambda_x over x in s and sigma(s) is
+    the sign that moves theta to the end (see `_subset_products`). The
+    pattern does not involve positions, so one table covers every server,
+    repetition and coordinate.
     """
-    field = stack.field
-    q, m = field.q, stack.nrows
-    leads = [next((v for v in row if v), 1) for row in stack.rows]
-    invs = [pow(v, q - 2, q) for v in leads]
-    normalised = MatrixGF(
-        [[v * inv % q for v in row] for row, inv in zip(stack.rows, invs)], field
-    )
-    basis, keys, offsets, terms, coeffs = _normalised_trim(normalised)
-    # scale[x] = sigma(x) lambda_x and unscale[x] = sigma(x) / lambda_x for
-    # every subset bitmask x, each from x minus its lowest stream. Only that
-    # stream being theta changes sigma.
-    scale, unscale = [1] * (1 << m), [1] * (1 << m)
-    for x in range(1, 1 << m):
-        low = x & -x
-        i = low.bit_length() - 1
-        up, down = scale[x ^ low] * leads[i] % q, unscale[x ^ low] * invs[i] % q
-        if i == theta - 1 and (x >> theta).bit_count() & 1:
-            up, down = q - up, q - down
-        scale[x], unscale[x] = up, down
-    drops = {}
-    for i, s in enumerate(keys):
+    q, plan = instance.field.q, instance.plan
+    pattern, coeffs = plan.trim
+    theta = instance.demand_index
+    scale = _subset_products(plan.leads, theta, q)
+    unscale = _subset_products([pow(v, -1, q) for v in plan.leads], theta, q)
+    terms, offsets = pattern.terms, pattern.offsets
+    lams: List[int] = []
+    for s, at, end in zip(pattern.keys, offsets, offsets[1:]):
         f = scale[s]
-        at, end = offsets[i], offsets[i + 1]
-        drops[s] = tuple(
-            (t, c * f * unscale[t] % q) for t, c in zip(terms[at:end], coeffs[at:end])
-        )
-    return basis, drops
+        lams += [c * f * unscale[t] % q for t, c in zip(terms[at:end], coeffs[at:end])]
+    return pattern.basis, pattern.keys, offsets, terms, lams
 
 
 # ---------------------------------------------------------------------------
@@ -480,71 +540,100 @@ def _trim_tables(stack: MatrixGF, theta: int):
 class QueryPlan:
     """The randomness-free part of one retrieval, for one repetition.
 
-    label, sums and peel are the target's relabelling of the theta = M
-    skeleton, and first is the skeleton's own int array (see
-    `_build_skeleton` and `_target_tables`): first[(server-1) 2^M + mask] is
-    the index of the first sum of subset mask at that server, for every
-    target. sums[i] holds the skeleton's term tuples under M's
-    stream labels, ordered by their streams' labels under this target:
-    label[x] is the stream that M's stream x stands for, and `terms` reads a
-    sum back in those labels. kept[server-1][ell-1] holds the indices into
-    sums of the round's sums that survive the trim, coordinate by
-    coordinate: the skeleton's groups are kept whole, exactly when their
-    subset meets B. drops is the trim's table expanding every dropped
-    subset's sums through kept ones (see `_trim_tables`). Callers only read
-    it.
+    Everything here but trim and leads is shared: sums, groups and peel are
+    the theta = M skeleton's, built once per (N, M) (see `_build_skeleton`),
+    label and first are the target's, built once per (N, M, theta) (see
+    `_target_index`), and kept once per (N, M, theta, B) (see `_kept`). Sum
+    indices are the skeleton's: sums[i] holds its term tuples under M's
+    stream labels, label[x] is the stream that M's stream x stands for, and
+    `terms` reads a sum back in those labels. first[(server-1) 2^M + mask]
+    is the index of the first sum of subset mask, in the target's labels, at
+    that server. trim is the row-normalised stack's cached (pattern,
+    coefficients), and leads the stack's row leads, which carry it over to
+    this stack and target (see `_trim_tables`). Callers only read it.
     """
 
     label: Tuple[int, ...]
     sums: Tuple[tuple, ...]
-    kept: Tuple[Tuple[Tuple[int, ...], ...], ...]
-    drops: Dict[int, Tuple[Tuple[int, int], ...]]
+    groups: tuple
     first: array
     peel: Tuple[array, array, array, array]
+    kept: tuple
+    trim: Tuple[_TrimPattern, array]
+    leads: Tuple[int, ...]
 
     def terms(self, i: int) -> tuple:
         """Sum i as (stream, position, eps) terms under the streams' own
-        labels."""
+        labels, sorted by stream."""
         label = self.label
-        return tuple((label[x], v, eps) for x, v, eps in self.sums[i])
+        return tuple(sorted((label[x], v, eps) for x, v, eps in self.sums[i]))
+
+    @cached_property
+    def kept_terms(self) -> Tuple[List[tuple], ...]:
+        """Per server, its kept sums as `terms` reads them, by round,
+        coordinate and subset: each place holds the same (round, subset,
+        coordinate) for every target. Built when first asked for; a run
+        never asks."""
+        basis, first = self.trim[0].basis, self.first
+        shift = len(self.label) - 1
+        out = []
+        for server, rounds in enumerate(self.groups):
+            base = server << shift
+            read: List[tuple] = []
+            for ell, (masks, _) in enumerate(rounds):
+                firsts = [first[base | mask] for mask in masks if mask & basis]
+                count = (len(self.groups) - 1) ** ell
+                read += [self.terms(at + c) for c in range(count) for at in firsts]
+            out.append(read)
+        return tuple(out)
 
 
 def _build_plan(instance: PlcInstance) -> QueryPlan:
     n, m, theta = instance.num_servers, instance.num_streams, instance.demand_index
-    _, groups, first, _ = _build_skeleton(n, m)
-    label, sums, peel = _target_tables(n, m, theta)
-    basis, drops = _trim_tables(instance.combination_matrix, theta)
-    kept = []
-    for server in groups:
-        blocks = []
-        for ell, (masks, ats) in enumerate(server):
-            firsts = [at for mask, at in zip(masks, ats) if mask & basis]
-            blocks.append(tuple([at + c for c in range((n - 1) ** ell) for at in firsts]))
-        kept.append(tuple(blocks))
-    return QueryPlan(label, sums, tuple(kept), drops, first, peel)
+    stack = instance.combination_matrix
+    q = stack.field.q
+    leads = tuple([next((v for v in row if v), 1) for row in stack.rows])
+    invs = [pow(v, -1, q) for v in leads]
+    normalised = MatrixGF.of_reduced(
+        [[v * inv % q for v in row] for row, inv in zip(stack.rows, invs)], stack.field
+    )
+    trim = _normalised_trim(normalised)
+    sums, groups, _, peel = _build_skeleton(n, m)
+    label, first = _target_index(n, m, theta)
+    kept = _kept(n, m, theta, trim[0].basis)
+    return QueryPlan(label, sums, groups, first, peel, kept, trim, leads)
 
 
 # ---------------------------------------------------------------------------
 # Serialisation: bake the user randomness in and normalise.
 
-def _bake(terms, at: int, label, tau, signs, q: int):
-    """Serialise the sum with index at and these terms; returns (wire_sum,
-    note).
+def _bake(terms, rank: int, at: int, label, tau, signs, neg: int, width: int):
+    """Serialise the sum with index at and these terms; returns (key,
+    wire_sum, note).
 
-    Every coefficient s_v * eps is +1 or -1, so scaling the lead to 1 keeps
-    the terms whose sign equals the lead's and negates the others. The note
-    is at when the lead was +1, and ~at (that is -at - 1) when it was -1 and
-    the answer must be negated back. The terms carry the skeleton's stream
-    labels and label renames them for the plan's target (see
-    `_target_tables`). The plan orders each sum by the renamed streams, each
-    appearing once, so the wire sum comes out sorted.
+    The terms carry the skeleton's stream labels, in its order, and label
+    renames them for the plan's target (see `_target_index`). Under the new
+    labels the order holds but for the target's term, the last: rank is the
+    place it moves to, or -1 when it stays. Each stream appears once, so the
+    wire sum comes out sorted. Every coefficient s_v * eps is +1 or -1, so
+    scaling the lead to 1 keeps the terms whose sign equals the lead's and
+    puts neg = q - 1 on the others. The note is at when the lead was +1, and
+    ~at (that is -at - 1) when it was -1 and the answer must be negated back.
+    key is the lead's stream times width plus its served position: no two
+    sums of a block share a lead's stream and position, so the key orders a
+    block as the wire sums do.
     """
-    lead = signs[terms[0][1]] * terms[0][2]
-    neg = q - 1
+    x, v, eps = terms[-1] if rank == 0 else terms[0]
+    lead = signs[v] * eps
     wire = []
     for stream, pos, eps in terms:
         wire.append((label[stream], tau[pos], 1 if signs[pos] * eps == lead else neg))
-    return tuple(wire), at if lead == 1 else ~at
+    if rank >= 0:
+        wire.insert(rank, wire.pop())
+    return label[x] * width + tau[v], tuple(wire), at if lead == 1 else ~at
+
+
+_BY_KEY = itemgetter(0)
 
 
 def _serialise(instance: PlcInstance, randomness: PlcRandomness):
@@ -559,31 +648,42 @@ def _serialise(instance: PlcInstance, randomness: PlcRandomness):
     """
     if len(randomness.position_map) != instance.stream_length:
         raise ValueError("randomness sized for a different stream length")
-    q = instance.field.q
     plan = instance.plan
     sums, size, label = plan.sums, len(plan.sums), plan.label
     tau, signs = randomness.position_map, randomness.signs
+    neg, width = instance.field.q - 1, len(tau) + 1
     block = len(plan.peel[0])  # N^M: the target's peel covers every position
     # Repetition 0 reads the whole tuples: its positions all lie below N^M.
     copies = [(0, tau, signs)]
     for v in range(block, len(tau), block):
         copies.append((len(copies) * size, tau[v : v + block], signs[v : v + block]))
-    by_wire = itemgetter(0)
-    per_server, notes = [], []
-    for server_kept in plan.kept:
+    per_server, notes = [], array("q")
+    for ones, rounds in plan.kept:
         wires = []
-        for kept in server_kept:
-            baked = [
-                _bake(sums[i], offset + i, label, tau_r, signs_r, q)
-                for offset, tau_r, signs_r in copies
-                for i in kept
-            ]
-            baked.sort(key=by_wire)
-            block_wires, block_notes = zip(*baked) if baked else ((), ())
+        for parts in (None, *rounds):
+            if parts is None:
+                # Round one's sums are single terms, each its own lead: they
+                # bake inline, which at small T saves most calls to `_bake`.
+                baked = []
+                for offset, tau_r, signs_r in copies:
+                    for i in ones:
+                        ((x, v, eps),) = sums[i]
+                        x, p, at = label[x], tau_r[v], offset + i
+                        note = at if signs_r[v] * eps == 1 else ~at
+                        baked.append((x * width + p, ((x, p, 1),), note))
+            else:
+                baked = [
+                    _bake(sums[i], rank, offset + i, label, tau_r, signs_r, neg, width)
+                    for offset, tau_r, signs_r in copies
+                    for rank, kept in parts
+                    for i in kept
+                ]
+            baked.sort(key=_BY_KEY)
+            _, block_wires, block_notes = zip(*baked) if baked else ((), (), ())
             wires.append(block_wires)
-            notes += block_notes
+            notes.extend(block_notes)
         per_server.append(tuple(wires))
-    return tuple(per_server), array("q", notes)
+    return tuple(per_server), notes
 
 
 def generate_queries(
@@ -712,25 +812,30 @@ def reconstruct(
         else:
             values[at] = ans
 
-    # Expand the trimmed sums from the kept ones, repetition by repetition.
+    # Expand the trimmed sums from the kept ones. A dropped subset and the
+    # kept ones that expand it lie in one round, and at every server a
+    # round's sums sit at one shift from server 1's.
+    _, keys, offsets, terms, lams = _trim_tables(instance)
     first = plan.first
-    offsets = range(0, len(values), size)
-    for base in range(0, n << instance.num_streams, 1 << instance.num_streams):
-        for s, combo in plan.drops.items():
-            at = first[base | s]
-            terms = [(first[base | t], lam) for t, lam in combo]
-            slot_count = (n - 1) ** (s.bit_count() - 1)
-            for offset in offsets:
-                for coord in range(offset, offset + slot_count):
+    reps = range(0, len(values), size)
+    bases = range(0, n << instance.num_streams, 1 << instance.num_streams)
+    for s, at, end in zip(keys, offsets, offsets[1:]):
+        slot_count = (n - 1) ** (s.bit_count() - 1)
+        pairs = list(zip(map(first.__getitem__, terms[at:end]), lams[at:end]))
+        into = first[s]
+        for base in bases:
+            shift = first[base | s] - into
+            for offset in reps:
+                for coord in range(offset + shift, offset + shift + slot_count):
                     acc = 0
-                    for t, lam in terms:
+                    for t, lam in pairs:
                         acc += lam * values[t + coord]
-                    values[at + coord] = acc % q
+                    values[into + coord] = acc % q
 
     # Peel the target's fresh symbols and undo the randomness.
     tau, signs = randomness.position_map, randomness.signs
     out = [0] * instance.stream_length
-    for offset, base in zip(offsets, range(0, instance.stream_length, block)):
+    for offset, base in zip(reps, range(0, instance.stream_length, block)):
         for v, at, src, sign in zip(*plan.peel):
             at += offset
             total = values[at] - values[src + offset] if src >= 0 else values[at]

@@ -464,7 +464,7 @@ def leaking_engine(monkeypatch):
     positions instead of the other servers': the target's sums then share
     positions a server can see, so its view depends on the target."""
     monkeypatch.setattr(plc_engine, "_other_servers", lambda s, n: [s] * (n - 1))
-    caches = (plc_engine._build_skeleton, plc_engine._target_tables)
+    caches = (plc_engine._build_skeleton, plc_engine._target_index, plc_engine._kept)
     for cache in caches:
         cache.cache_clear()
     yield

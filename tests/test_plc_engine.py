@@ -3,6 +3,7 @@ import gc
 import random
 import tracemalloc
 import weakref
+from array import array
 from collections import Counter
 from itertools import combinations, islice, permutations
 from math import comb
@@ -411,6 +412,16 @@ def test_randomness_validation():
         PlcRandomness((1, 1, 3), (1, 1, 1))
     with pytest.raises(ValueError):
         PlcRandomness((1, 2, 3), (1, 0, 1))
+    # Floats and bools equal to valid ints are refused at construction, not
+    # left to reach the recovered stream or fail in answer_queries.
+    for position_map, signs in (
+        ((1, 2, 3, 4), (1.0, -1.0, 1.0, 1.0)),
+        ((1.0, 2, 3, 4), (1, 1, 1, 1)),
+        ((True, 2, 3, 4), (1, 1, 1, 1)),
+        ((1, 2, 3, 4), (True, -1, 1, 1)),
+    ):
+        with pytest.raises(ValueError, match="ints"):
+            PlcRandomness(position_map, signs)
 
 
 def test_download_report_rates():
@@ -471,7 +482,7 @@ def test_position_tables_partition_fresh_positions():
 
 
 # ---------------------------------------------------------------------------
-# One skeleton per (N, M): every target relabels the theta = M skeleton.
+# One skeleton per (N, M): every target reads the theta = M skeleton.
 
 SKELETON_SHAPES = [(1, 3), (2, 2), (2, 3), (2, 5), (2, 8), (2, 10), (3, 3), (3, 4), (4, 3)]
 
@@ -491,21 +502,95 @@ def _in_oracle_layout(n, m, groups, first):
     return pairs, keyed
 
 
+def _in_target_layout(plan, n, m):
+    """The plan's sums and peel renumbered into its target's own layout, the
+    oracle's: plan.first gives the skeleton index of the first sum of each
+    (server, subset) in the target's labels, and the skeleton's own first
+    gives its place in the target's layout."""
+    sums, _, first, _ = plc_engine._build_skeleton(n, m)
+    index = [None] * len(sums)
+    for base in range(0, n << m, 1 << m):
+        for mask in range(1, 1 << m):
+            for c in range((n - 1) ** (mask.bit_count() - 1)):
+                index[plan.first[base | mask] + c] = first[base | mask] + c
+    assert sorted(index) == list(range(len(sums)))
+    order = sorted(range(len(sums)), key=index.__getitem__)
+    v, at, src, sign = plan.peel
+    peel = (
+        v,
+        [index[i] for i in at],
+        [index[i] if i >= 0 else -1 for i in src],
+        sign,
+    )
+    return tuple(map(plan.terms, order)), peel
+
+
+def _identity_blocks(oracle_sums, oracle_groups, basis, n, q):
+    """The oracle's kept sums baked by hand under identity randomness: each
+    sum's lead scaled to 1, every block sorted."""
+    out = []
+    for server in range(n):
+        blocks = []
+        for ell, round_groups in enumerate(oracle_groups[server]):
+            block = []
+            for mask, at in round_groups:
+                if mask & basis:
+                    for c in range((n - 1) ** ell):
+                        terms = oracle_sums[at + c]
+                        lead = terms[0][2]
+                        block.append(tuple(
+                            (x, v + 1, 1 if eps == lead else q - 1) for x, v, eps in terms
+                        ))
+            blocks.append(tuple(sorted(block)))
+        out.append(tuple(blocks))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("n,m", SKELETON_SHAPES)
 def test_relabelled_skeleton_equals_the_oracle(n, m):
-    """Every target's plan, read back under the streams' own labels, holds
-    the oracle's sums in the oracle's order, its groups and first indices,
-    and its peel rows in some order. Equal terms are one object."""
+    """Every target's plan, read back in its target's layout under the
+    streams' own labels, holds the oracle's sums in the oracle's order, its
+    groups and first indices, and its peel rows in some order; its identity
+    serialisation is the oracle's kept sums baked by hand. Every plan reads
+    the skeleton's own sums and peel, and equal terms are one object."""
     stack = MatrixGF([[1]] * m, F3)
-    skeleton_sums, groups = plc_engine._build_skeleton(n, m)[:2]
+    skeleton_sums, groups, skeleton_first, skeleton_peel = plc_engine._build_skeleton(n, m)
     terms = [t for s in skeleton_sums for t in s]
     assert len({id(t) for t in terms}) == len(set(terms))
     for theta in range(1, m + 1):
-        plan = PlcInstance(n, stack, theta, n**m).plan
+        inst = PlcInstance(n, stack, theta, n**m)
+        plan = inst.plan
+        assert plan.sums is skeleton_sums and plan.peel is skeleton_peel
         sums, oracle_groups, first, peel = build_skeleton(n, m, theta)
-        assert tuple(map(plan.terms, range(len(plan.sums)))) == sums
-        assert _in_oracle_layout(n, m, groups, plan.first) == (oracle_groups, first)
-        assert Counter(zip(*plan.peel)) == Counter(zip(*peel))
+        plan_sums, plan_peel = _in_target_layout(plan, n, m)
+        assert plan_sums == sums
+        assert _in_oracle_layout(n, m, groups, skeleton_first) == (oracle_groups, first)
+        assert Counter(zip(*plan_peel)) == Counter(zip(*peel))
+        desc = generate_queries(inst, identity_plc_randomness(n**m))
+        assert desc.per_server == _identity_blocks(sums, oracle_groups, 1, n, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_no_two_sums_of_a_block_share_a_lead(n):
+    """In every round of every server, for every target, no two sums share
+    their first term's (stream, position), kept or not; checked at every M
+    up to 10 with N^M <= 1,024. So the int key of `_bake`, the lead's stream
+    and served position, orders a block as the wire sums do: tau is a
+    bijection, and repetitions shift positions."""
+    for m in range(1, 11):
+        if n**m > 1024:
+            break
+        stack = MatrixGF([[1]] * m, F3)
+        for theta in range(1, m + 1):
+            plan = PlcInstance(n, stack, theta, n**m).plan
+            for server, rounds in enumerate(plan.groups):
+                for ell, (masks, _) in enumerate(rounds):
+                    leads = [
+                        plan.terms(plan.first[server << m | mask] + c)[0][:2]
+                        for mask in masks
+                        for c in range((n - 1) ** ell)
+                    ]
+                    assert len(set(leads)) == len(leads)
 
 
 def test_skeleton_shares_its_terms():
@@ -518,39 +603,56 @@ def test_skeleton_shares_its_terms():
 
 
 def _clear_skeletons():
-    plc_engine._build_skeleton.cache_clear()
-    plc_engine._target_tables.cache_clear()
+    for cache in (plc_engine._build_skeleton, plc_engine._target_index, plc_engine._kept):
+        cache.cache_clear()
 
 
 def test_targets_share_one_skeleton():
-    """Ten targets at N=2, M=10 build one skeleton and relabel it; theta = M
+    """Ten targets at N=2, M=10 build one skeleton and read it; theta = M
     takes the skeleton's own tables."""
     stack = MatrixGF([[1]] * 10, F3)
     _clear_skeletons()
     plans = [PlcInstance(2, stack, theta, 2**10).plan for theta in range(1, 11)]
     assert plc_engine._build_skeleton.cache_info().misses == 1
-    assert plc_engine._target_tables.cache_info().misses == 10
+    assert plc_engine._target_index.cache_info().misses == 10
     sums, _, first, peel = plc_engine._build_skeleton(2, 10)
-    assert plans[-1].sums is sums and plans[-1].peel is peel
-    assert all(plan.first is first for plan in plans)
+    assert all(plan.sums is sums and plan.peel is peel for plan in plans)
+    assert plans[-1].first is first
+    assert plans[-1].label == tuple(range(11))
 
 
-def test_targets_hold_little_beyond_one_skeleton():
-    """The tables of all ten targets at N=2, M=10, the shared skeleton
-    included, hold at most 2.13 MB, 25% above the 1.70 MB they measure
-    under Python 3.11; a skeleton built per target held 13 MB."""
+def _held_beyond_the_skeleton(n, m):
+    """Bytes that the plans of every target at (N, M), built in one process
+    on one stack, hold beyond the skeleton they share."""
+    stack = MatrixGF([[1]] * m, F3)
     _clear_skeletons()
+    plc_engine._build_skeleton(n, m)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        tables = [plc_engine._target_tables(2, 10, theta) for theta in range(1, 11)]
+        plans = [PlcInstance(n, stack, theta, n**m).plan for theta in range(1, m + 1)]
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(tables) == 10
-    assert held <= 2.13 * 2**20
+    assert len(plans) == m
+    return held
+
+
+def test_targets_hold_little_beyond_one_skeleton():
+    """The plans of all ten targets at N=2, M=10 hold at most 0.18 MB beyond
+    the 0.68 MB skeleton, 25% above the 0.14 MB they measure under Python
+    3.11. Each target's relabelled copy of the sums held 1.03 MB in all."""
+    assert _held_beyond_the_skeleton(2, 10) <= 0.18 * 2**20
+
+
+def test_every_target_at_m12_holds_little_beyond_one_skeleton():
+    """The plans of all twelve targets at N=2, M=12 hold at most 0.54 MB
+    beyond the 3.3 MB skeleton, 25% above the 0.43 MB they measure under
+    Python 3.11. Relabelled copies of the sums held about 4.3 MB per target
+    at M=15, 59.8 MB for the 14 targets other than M."""
+    assert _held_beyond_the_skeleton(2, 12) <= 0.54 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +705,28 @@ def _meeting_basis(basis, m, ell):
     ]
 
 
+def _as_drops(instance):
+    """The instance's trim in `_wedge`'s encoding, (basis, drops): the flat
+    arrays of `_trim_tables` read into a dict from each dropped subset's
+    bitmask to its (t, coefficient) pairs."""
+    basis, keys, offsets, terms, lams = _trim_tables(instance)
+    return basis, {
+        s: tuple(zip(terms[at:end], lams[at:end]))
+        for s, at, end in zip(keys, offsets, offsets[1:])
+    }
+
+
+def _trim_of(stack, theta):
+    """`_as_drops` for (stack, theta), through a one-server instance."""
+    return _as_drops(PlcInstance(1, stack, theta, 1))
+
+
 @PROPERTY
 @given(full_rank_stacks())
 def test_trim_keeps_a_basis_of_every_round(case):
     stack, theta = case
     m, j_dim = stack.nrows, stack.ncols
-    basis, _ = _trim_tables(stack, theta)
+    basis, _ = _trim_of(stack, theta)
     for ell in range(1, m + 1):
         kept = _meeting_basis(basis, m, ell)
         count = comb(m, ell) - comb(m - j_dim, ell)
@@ -624,7 +742,7 @@ def test_trim_kept_set_ignores_theta(case):
     kept_sets = {
         (basis, frozenset(drops))
         for basis, drops in (
-            _trim_tables(stack, theta) for theta in range(1, stack.nrows + 1)
+            _trim_of(stack, theta) for theta in range(1, stack.nrows + 1)
         )
     }
     assert len(kept_sets) == 1
@@ -635,7 +753,7 @@ def test_trim_kept_set_ignores_theta(case):
 def test_trim_drops_are_exact_identities(case):
     stack, theta = case
     q, m = stack.field.q, stack.nrows
-    basis, drops = _trim_tables(stack, theta)
+    basis, drops = _trim_of(stack, theta)
     for ell in range(1, m + 1):
         kept = _meeting_basis(basis, m, ell)
         drops_ell = {s: combo for s, combo in drops.items() if s.bit_count() == ell}
@@ -681,7 +799,7 @@ def test_transported_trim_equals_the_wedge(data):
     scales = [data.draw(st.integers(1, q - 1)) for _ in range(stack.nrows)]
     for case in (stack, _rescaled(stack, scales)):
         for theta in range(1, stack.nrows + 1):
-            assert _unordered(_trim_tables(case, theta)) == _unordered(
+            assert _unordered(_trim_of(case, theta)) == _unordered(
                 _oracle(case, theta)
             )
 
@@ -716,7 +834,7 @@ def test_transported_trim_equals_the_wedge_on_encoder_stacks(shape, seed):
     build, k, d, q = shape
     stack = build(k, d, q, random.Random(seed))
     for theta in range(1, stack.nrows + 1):
-        assert _unordered(_trim_tables(stack, theta)) == _unordered(_oracle(stack, theta))
+        assert _unordered(_trim_of(stack, theta)) == _unordered(_oracle(stack, theta))
 
 
 def test_run_plans_once(monkeypatch, bakes):
@@ -740,10 +858,12 @@ def test_run_plans_once(monkeypatch, bakes):
     desc = generate_queries(inst, randomness)
     trims = _normalised_trim.cache_info()
     assert (trims.misses, trims.hits) == (1, 1)
-    basis, drops = _oracle(stack, theta)
-    assert _unordered((basis, inst.plan.drops)) == _unordered((basis, drops))
+    assert _unordered(_as_drops(inst)) == _unordered(_oracle(stack, theta))
 
-    monkeypatch.setattr(plc_engine, "_trim_tables", _oracle)
+    # A plan reads its trim only for B, which the oracle gives as well.
+    basis = _oracle(stack, theta)[0]
+    empty = plc_engine._TrimPattern(basis, array("B"), array("B", [0]), array("B"))
+    monkeypatch.setattr(plc_engine, "_normalised_trim", lambda normalised: (empty, array("B")))
     from_oracle = PlcInstance(2, stack, theta, 8)
     assert generate_queries(from_oracle, randomness) == desc
 
@@ -783,7 +903,7 @@ def test_full_trim_cache_stays_small():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for stack in stacks:
-            _trim_tables(stack, 1)
+            _trim_of(stack, 1)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -791,6 +911,17 @@ def test_full_trim_cache_stays_small():
     info = _normalised_trim.cache_info()
     assert (info.misses, info.currsize) == (_TRIM_CACHE_SIZE, _TRIM_CACHE_SIZE)
     assert held <= 4 * 2**20
+
+
+def test_stacks_of_one_shape_share_one_pattern():
+    """Twenty random jplc stacks at K=5, D=2, q=5 trim to one shared
+    pattern: each cache entry adds only its stack's coefficients."""
+    rng = random.Random(11)
+    _normalised_trim.cache_clear()
+    plans = [PlcInstance(2, _jplc_stack(5, 2, 5, rng), 1, 2**10).plan for _ in range(20)]
+    assert _normalised_trim.cache_info().misses > 1
+    assert len({id(plan.trim[0]) for plan in plans}) == 1
+    assert len({plan.trim[1].tobytes() for plan in plans}) > 1
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)

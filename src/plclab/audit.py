@@ -197,9 +197,11 @@ def _with_queries(paths, num_servers, stream_length):
     path. When one encoder path's T! 2^T pairs alone exceed _PATH_BUDGET,
     the first step raises the budget's ValueError, before any path is
     drawn."""
-    draws = math.factorial(stream_length) * 2**stream_length
-    if draws > _PATH_BUDGET:
-        raise _over_budget(_PATH_BUDGET)
+    draws = 1  # T! 2^T, one factor at a time: a large T passes the budget at t = 8
+    for t in range(1, stream_length + 1):
+        draws *= 2 * t
+        if draws > _PATH_BUDGET:
+            raise _over_budget(_PATH_BUDGET)
     per_draw = Fraction(1, draws)
     randomness = [
         PlcRandomness(tau, signs)

@@ -37,11 +37,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF
-from .jplc_encoder import check_planted_demand, leading_one
+from .jplc_encoder import check_full_rank, check_planted_demand, leading_one
 from .protocol_core import Demand
 
 
@@ -170,27 +170,6 @@ def _shape_table(k: int, d: int, q: int) -> _Shape:
         gains,
         combinations,
     )
-
-
-def check_full_rank(alphas: Sequence[int], omegas: Sequence[int]) -> None:
-    """Raise ValueError unless the partition generator built from these
-    reduced slot multipliers and aligned points has full row rank.
-
-    Nonzero alphas and distinct omegas suffice. pi is a bijection, so plain
-    row i is nonzero on exactly its D columns, and no other row touches them;
-    the two aligned rows share their columns only with each other. Take
-    c . G = 0. On a column of plain row i only row i is nonzero, with entry
-    alpha != 0, so c_i = 0. The aligned rows hold (a, w_i a) on segment i,
-    and m = D/R + 1 >= 3, so two slots on segments i != j give the 2x2 minor
-    a_i a_j (w_j - w_i), which is nonzero; so c_(n+1) = c_(n+2) = 0.
-    """
-    if 0 in alphas:
-        raise ValueError(
-            f"generator rank is below its rows: slot {list(alphas).index(0) + 1} "
-            "has multiplier 0"
-        )
-    if len(set(omegas)) != len(omegas):
-        raise ValueError("generator rank is below its rows: aligned points repeat")
 
 
 def build_partition_matrix(

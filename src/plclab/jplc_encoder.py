@@ -14,7 +14,9 @@ encoder. The caller rescales the recovered stream by v_1 afterwards.
 Column j of G is alpha_j (1, w_j, ..., w_j^(J-1)) with J = K - D + 1, so the
 combination on a support S has the closed form C_S = the coefficients of the
 monic P_S(x) = prod_{j not in S} (x - w_j), lowest degree first: column j of
-C_S . G is alpha_j P_S(w_j), which vanishes exactly outside S.
+C_S . G is alpha_j P_S(w_j), which vanishes exactly outside S. So U_S is read
+off the points: alpha_j prod_{i not in S} (w_j - w_i) on S, 0 outside. Nor
+does the rank need an elimination: `check_full_rank` reads it off the points.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, compress, count
-from operator import mul
 from typing import Iterable, Sequence, Tuple
 
 from .ffield import PrimeField
-from .gflinalg import MatrixGF, VectorGF, rank
+from .gflinalg import MatrixGF, VectorGF
 from .protocol_core import Demand
 
 
@@ -44,20 +45,6 @@ class JplcEncoderOutput:
 def enumerate_supports(num_streams: int, demand_size: int) -> Tuple[Tuple[int, ...], ...]:
     """All size-D subsets of [K] in lexicographic order."""
     return tuple(combinations(range(1, num_streams + 1), demand_size))
-
-
-def scaled_combinations(
-    g: MatrixGF,
-    supports: Sequence[Tuple[int, ...]],
-    coefficients: Sequence[Sequence[int]],
-) -> Tuple[Tuple[VectorGF, ...], Tuple[VectorGF, ...]]:
-    """`leading_one` of U_S = C_S . G and C_S, for each support S and its
-    closed-form coefficients C_S, which may be any ints."""
-    q = g.field.q
-    cols = tuple(zip(*g.rows))
-    coefficients = [[x % q for x in c] for c in coefficients]
-    products = ([sum(map(mul, c, col)) % q for col in cols] for c in coefficients)
-    return leading_one(g.field, supports, products, coefficients)
 
 
 def leading_one(
@@ -87,6 +74,29 @@ def leading_one(
     return tuple(u_list), tuple(c_list)
 
 
+def check_full_rank(alphas: Sequence[int], omegas: Sequence[int]) -> None:
+    """Raise ValueError unless the generator built from these reduced slot
+    multipliers and points has full row rank; nonzero alphas and distinct
+    points suffice, for either encoder.
+
+    GRS: the J = K - D + 1 <= K rows hold alpha_j w_j^r, so any J columns are
+    an invertible Vandermonde block times the diagonal of their alphas; the
+    points are a shuffle of 0..K-1 and q >= K, so they are distinct.
+    Partition: pi is a bijection, so plain row i is nonzero on exactly its D
+    columns, and no other row touches them; the two aligned rows share their
+    columns only with each other. Take c . G = 0. On a column of plain row i
+    only row i is nonzero, with entry alpha != 0, so c_i = 0. The aligned
+    rows hold (a, w_i a) on segment i, and m = D/R + 1 >= 3, so two slots on
+    segments i != j give the 2x2 minor a_i a_j (w_j - w_i), which is
+    nonzero; so c_(n+1) = c_(n+2) = 0.
+    """
+    if 0 in alphas:
+        slot = list(alphas).index(0) + 1
+        raise ValueError(f"generator rank is below its rows: slot {slot} has multiplier 0")
+    if len(set(omegas)) != len(omegas):
+        raise ValueError("generator rank is below its rows: aligned points repeat")
+
+
 def check_planted_demand(out) -> None:
     """The combination at the demand index of either encoder's output must be
     the demand, up to the leading-one normalisation factor 1/v_1."""
@@ -101,18 +111,6 @@ def check_planted_demand(out) -> None:
     for idx, v in zip(demand.indices, demand.coefficients.entries):
         if u_star.entries[idx - 1] != (v1_inv * v) % q:
             raise ValueError(f"combination at stream {idx} is not the demand's")
-
-
-def _vanishing_poly(col_omega, s, q):
-    """Coefficients, lowest degree first, of prod_{j not in S} (x - w_j)."""
-    inside = set(s)
-    poly = [1]
-    for j, w in enumerate(col_omega, 1):
-        if j not in inside:
-            poly = [
-                (lo - w * hi) % q for lo, hi in zip([0] + poly, poly + [0])
-            ]
-    return poly
 
 
 def build_grs_matrix(
@@ -138,58 +136,58 @@ def build_grs_matrix(
         raise ValueError("demand size exceeds stream count")
     if demand.indices[-1] > k:
         raise ValueError("demand index exceeds stream count")
-    if field.q < k:
+    q = field.q
+    if q < k:
         raise ValueError(
-            f"field order {field.q} is too small: need q >= K = {k} distinct "
+            f"field order {q} is too small: need q >= K = {k} distinct "
             "evaluation points"
         )
-    j_rows = k - d + 1
     w = demand.indices
-    complement = tuple(i for i in range(1, k + 1) if i not in set(w))
-    pi = w + complement
-
-    pool = list(range(k))
-    rng.shuffle(pool)
-    omegas = tuple(pool)
+    pi = w + tuple(i for i in range(1, k + 1) if i not in w)
+    omegas = list(range(k))
+    rng.shuffle(omegas)
     padding = tuple(field.rand_nonzero_int(rng) for _ in range(k - d))
+    coeffs = demand.coefficients.entries + padding
 
-    coeffs = tuple(demand.coefficients.entries) + padding
-
-    rows = [[0] * k for _ in range(j_rows)]
-    col_omega = [0] * k
-    for slot in range(1, k + 1):
-        w_j = omegas[slot - 1]
+    alphas = []
+    for i, w_i in enumerate(omegas):
         # Demand slots divide out only the padding slots' points.
-        others = range(d + 1, k + 1) if slot <= d else range(1, k + 1)
         prod = 1
-        for other in others:
-            if other != slot:
-                prod = (prod * (w_j - omegas[other - 1])) % field.q
-        alpha = (coeffs[slot - 1] * field.inv(prod)) % field.q
-        if alpha == 0:
-            raise ValueError(f"column multiplier of slot {slot} is zero")
-        col = pi[slot - 1] - 1
-        col_omega[col] = w_j
-        power = 1
-        for i in range(j_rows):
-            rows[i][col] = (alpha * power) % field.q
-            power = (power * w_j) % field.q
-    g = MatrixGF(rows, field)
-    if rank(g) != j_rows:
-        raise ValueError(f"generator rank is below its {j_rows} rows")
+        for o in range(d if i < d else 0, k):
+            if o != i:
+                prod = prod * (w_i - omegas[o]) % q
+        alphas.append(coeffs[i] * field.inv(prod) % q)
+    check_full_rank(alphas, omegas)
 
+    # Slot i goes to column pi_i; row r of G is alpha_j w_j^r on column j.
+    alpha, point = [0] * k, [0] * k
+    for stream, a, w_i in zip(pi, alphas, omegas):
+        alpha[stream - 1] = a
+        point[stream - 1] = w_i
+    rows = [alpha]
+    for _ in range(k - d):
+        rows.append([a * x % q for a, x in zip(rows[-1], point)])
+    g = MatrixGF.of_reduced(rows, field)
+
+    # The roots of P_S are the points outside S. U_S is alpha_j P_S(w_j) on
+    # S and 0 outside; C_S is P_S's coefficients.
     supports = enumerate_supports(k, d)
-    u_list, c_list = scaled_combinations(
-        g, supports, [_vanishing_poly(col_omega, s, field.q) for s in supports]
-    )
+    vectors, coefficients = [], []
+    for s in supports:
+        roots = [x for j, x in enumerate(point, 1) if j not in s]
+        u, c = [0] * k, [1]
+        for j in s:
+            u_j, x = alpha[j - 1], point[j - 1]
+            for r in roots:
+                u_j = u_j * (x - r) % q
+            u[j - 1] = u_j
+        for r in roots:
+            c = [(lo - r * hi) % q for lo, hi in zip([0] + c, c + [0])]
+        vectors.append(u)
+        coefficients.append(c)
+    u_list, c_list = leading_one(field, supports, vectors, coefficients)
     out = JplcEncoderOutput(
-        generator=g,
-        supports=supports,
-        row_space_vectors=u_list,
-        combination_vectors=c_list,
-        demand_index=supports.index(w) + 1,
-        demand=demand,
-        field=field,
+        g, supports, u_list, c_list, supports.index(w) + 1, demand, field
     )
     check_planted_demand(out)
     return out

@@ -118,6 +118,8 @@ class Demand:
 def random_demand(
     field: PrimeField, num_streams: int, size: int, rng: random.Random
 ) -> Demand:
+    if not 1 <= size <= num_streams:
+        raise ValueError("demand size must lie in [1, K]")
     w = sorted(rng.sample(range(1, num_streams + 1), size))
     v = [field.rand_nonzero_int(rng) for _ in range(size)]
     return Demand(w, VectorGF(v, field))

@@ -147,6 +147,8 @@ def run_iplc(
 def family_size(protocol: str, num_streams: int, demand_size: int) -> int:
     """Number of coded streams M the engine will see for given parameters."""
     if protocol == "jplc":
+        if not 1 <= demand_size <= num_streams:
+            raise ValueError("demand size must lie in [1, K]")
         return comb(num_streams, demand_size)
     if protocol == "iplc":
         _, n, m = partition_shape(num_streams, demand_size)
@@ -154,8 +156,24 @@ def family_size(protocol: str, num_streams: int, demand_size: int) -> int:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
+# The largest N^M a run may ask for: each stream holds N^M symbols and the
+# engine's tables grow with 2^M.
+_MAX_STREAM_LENGTH = 2**16
+
+
 def minimum_stream_length(
     protocol: str, num_servers: int, num_streams: int, demand_size: int
 ) -> int:
-    """Smallest T the engine accepts: one repetition, N^M."""
-    return num_servers ** family_size(protocol, num_streams, demand_size)
+    """Smallest T the engine accepts: one repetition, N^M.
+
+    Raises ValueError when |N|^M exceeds _MAX_STREAM_LENGTH, without forming
+    it when M alone shows that: |N| >= 2 gives |N|^M >= 2^M.
+    """
+    m = family_size(protocol, num_streams, demand_size)
+    base = abs(num_servers)
+    if base > 1 and m >= _MAX_STREAM_LENGTH.bit_length() or base**m > _MAX_STREAM_LENGTH:
+        raise ValueError(
+            f"stream length N^M = {num_servers}^{m} exceeds {_MAX_STREAM_LENGTH}; "
+            "shrink the parameters"
+        )
+    return num_servers**m

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 from plclab.gflinalg import MatrixGF, rank
 from plclab.iplc_encoder import IplcEncoderOutput, partition_shape
-from plclab.jplc_encoder import check_planted_demand, scaled_combinations
+from plclab.jplc_encoder import check_planted_demand
+
+from grs_oracle import scaled_combinations
 
 
 def template_supports(k, d, r, n, m):

@@ -204,6 +204,20 @@ def test_full_layer_refuses_up_front_what_cannot_fit(monkeypatch):
         audit_joint_privacy(2, 3, 1, PrimeField(3), layer="full")
 
 
+def test_query_draws_are_refused_without_forming_t_factorial(monkeypatch):
+    """7! 2^7 = 645,120 query draws fit the budget and 8! 2^8 do not; a T in
+    the tens of thousands is refused as fast as T = 8, with no T! formed."""
+    assert 5040 * 2**7 <= audit._PATH_BUDGET < 40320 * 2**8
+
+    def refuse(n):
+        raise AssertionError(f"formed {n}!")
+
+    monkeypatch.setattr(audit.math, "factorial", refuse)
+    for t in (8, 2**16):
+        with pytest.raises(ValueError, match="path budget exceeded"):
+            next(audit._with_queries(iter(()), 2, t))
+
+
 def test_the_path_budget_leaves_sampled_audits_alone(monkeypatch):
     monkeypatch.setattr(audit, "_PATH_BUDGET", 5)
     rep = audit_joint_privacy(2, 3, 2, F3, rng=random.Random(1), mode="sampled", samples=50)

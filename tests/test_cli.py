@@ -2,6 +2,7 @@ import io
 import json
 import os
 import struct
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -332,10 +333,39 @@ def _csv(values):
           "--tv-threshold=-inf"])
 @example(["--mode=audit", "--audit-kind=joint", "--messages=3", "--demand-size=2",
           "--tv-threshold=nan"])
+# A demand size outside [1, K] leaked random.sample's or math.comb's message.
+@example(["--mode=jplc", "--messages=3", "--demand-size=5"])
+@example(["--mode=jplc", "--messages=3", "--demand-size=-1"])
 def test_bad_arguments_exit_1_with_an_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv + ["--seed=1"])
+    assert code == EXIT_USAGE, (argv, out.getvalue())
+    assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+
+
+@pytest.mark.parametrize("size", [5, -1])
+def test_demand_size_outside_one_to_k_names_the_range(size, capsys):
+    code = main(["--mode=jplc", "--messages=3", f"--demand-size={size}", "--seed=1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == "error: demand size must lie in [1, K]"
+
+
+# Shapes too large to run: each crashed, hung or took seconds before the
+# stream length N^M and the full layer's T! 2^T query draws were bounded.
+@pytest.mark.parametrize("argv", [
+    ["--mode=jplc", "--messages=8", "--demand-size=4", "--field=11"],
+    ["--mode=iplc", "--servers=3", "--messages=40", "--demand-size=2", "--field=23"],
+    ["--mode=audit", "--audit-kind=joint", "--messages=6", "--demand-size=3", "--field=7",
+     "--audit-layer=full"],
+    ["--mode=jplc", "--messages=40", "--demand-size=20", "--field=41"],
+])
+def test_oversize_shapes_are_refused_before_any_draw(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--seed=1"])
+    assert time.perf_counter() - start < 1.0
     assert code == EXIT_USAGE, (argv, out.getvalue())
     assert any(line.startswith("error:") for line in err.getvalue().splitlines())
 

@@ -14,7 +14,7 @@ from plclab.iplc_encoder import (
     check_full_rank,
     partition_shape,
 )
-from plclab.jplc_encoder import scaled_combinations
+from plclab.jplc_encoder import leading_one
 from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import minimum_stream_length, run_iplc
 
@@ -255,15 +255,18 @@ def test_aligned_combination_with_another_omega_is_rejected():
     """Mixing the aligned pair at the wrong point leaves the dropped segment
     nonzero, and the support check refuses it."""
     enc = _golden_encoder()  # n = 1, m = 3, omegas (2, 1, 0)
-    good = [c.entries for c in enc.combination_vectors]
-    assert scaled_combinations(enc.generator, enc.supports, good) == (
+    good = [u.entries for u in enc.row_space_vectors]
+    coefficients = [c.entries for c in enc.combination_vectors]
+    assert leading_one(F3, enc.supports, good, coefficients) == (
         enc.row_space_vectors,
         enc.combination_vectors,
     )
     # Support 2 drops segment m = 3 (omega 0); mix it at omega_1 = 2 instead.
-    wrong = good[:1] + [(0, 2, -1)] + good[2:]
+    mixed = VectorGF([0, 2, 2], F3)  # 2 row(2) - row(3)
+    wrong = good[:1] + [vec_mat(mixed, enc.generator).entries] + good[2:]
+    coefficients[1] = mixed.entries
     with pytest.raises(ValueError, match="no vector with support"):
-        scaled_combinations(enc.generator, enc.supports, wrong)
+        leading_one(F3, enc.supports, wrong, coefficients)
 
 
 @pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1])

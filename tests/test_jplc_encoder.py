@@ -3,12 +3,12 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, count
 from pathlib import Path
 
 import pytest
 
-from plclab.ffield import PrimeField
+from plclab.ffield import PrimeField, is_prime
 from plclab.gflinalg import (
     MatrixGF,
     VectorGF,
@@ -18,13 +18,15 @@ from plclab.gflinalg import (
 )
 from plclab.jplc_encoder import (
     build_grs_matrix,
+    check_full_rank,
     check_planted_demand,
     enumerate_supports,
-    scaled_combinations,
+    leading_one,
 )
 from plclab.protocol_core import Demand, random_dataset, random_demand
 from plclab.protocols import minimum_stream_length, run_jplc
 
+import grs_oracle
 from kernel_oracle import derive_combination_vectors
 from pinned_rng import PinnedRandom
 
@@ -170,14 +172,60 @@ def test_wrong_combination_is_rejected():
     """A polynomial that misses one of the outside roots leaves U nonzero
     outside the support, and the support check refuses it."""
     enc = _golden_encoder()
-    good = [c.entries for c in enc.combination_vectors]
-    assert scaled_combinations(enc.generator, enc.supports, good) == (
+    good = [u.entries for u in enc.row_space_vectors]
+    coefficients = [c.entries for c in enc.combination_vectors]
+    assert leading_one(F3, enc.supports, good, coefficients) == (
         enc.row_space_vectors,
         enc.combination_vectors,
     )
-    wrong = [good[0], (1, 0), good[2]]  # x in place of x - w_3
+    x = VectorGF([1, 0], F3)  # x in place of x - w_3
+    wrong = [good[0], vec_mat(x, enc.generator).entries, good[2]]
+    coefficients[1] = x.entries
     with pytest.raises(ValueError, match=r"no vector with support \(1, 3\)"):
-        scaled_combinations(enc.generator, enc.supports, wrong)
+        leading_one(F3, enc.supports, wrong, coefficients)
+
+
+def _grs(alphas, points, rows, field):
+    return MatrixGF(
+        [[a * x**r % field.q for a, x in zip(alphas, points)] for r in range(rows)], field
+    )
+
+
+def test_zero_multiplier_or_repeated_point_is_a_deficient_generator():
+    """With D = 1 the GRS generator is square: a zero alpha zeroes a column
+    and a repeated point repeats one, and the structural check refuses both."""
+    f5 = PrimeField(5)
+    alphas, points = (1, 2, 3), (0, 1, 2)
+    check_full_rank(alphas, points)
+    assert rank(_grs(alphas, points, 3, f5)) == 3
+    for bad_alphas, bad_points in [((1, 0, 3), points), (alphas, (0, 1, 1))]:
+        assert rank(_grs(bad_alphas, bad_points, 3, f5)) == 2
+        with pytest.raises(ValueError, match="generator rank is below its rows"):
+            check_full_rank(bad_alphas, bad_points)
+
+
+def _grs_oracle_shapes():
+    """Every 1 <= D <= K <= 8 at the smallest prime q >= K, and at 11 and 13."""
+    for k in range(1, 9):
+        smallest = next(p for p in count(max(k, 2)) if is_prime(p))
+        for d in range(1, k + 1):
+            for q in sorted({smallest, 11, 13}):
+                yield k, d, q
+
+
+@pytest.mark.parametrize("k, d, q", list(_grs_oracle_shapes()))
+def test_grs_build_matches_the_oracle(k, d, q):
+    """Every output field and the rng's end state equal the oracle's, which
+    multiplies each C_S through G and computes the rank by elimination."""
+    field = PrimeField(q)
+    for seed in range(40):
+        demand = random_demand(field, k, d, random.Random(-seed))
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        enc = build_grs_matrix(2, demand, k, field, rng)
+        ref = grs_oracle.build_grs_matrix(2, demand, k, field, oracle_rng)
+        for f in dataclasses.fields(enc):
+            assert getattr(enc, f.name) == getattr(ref, f.name), f.name
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_planted_demand_check_rejects_shifted_index():

@@ -43,6 +43,24 @@ def test_minimum_stream_length():
     assert minimum_stream_length("iplc", 3, 6, 2) == 27
 
 
+def test_minimum_stream_length_refuses_oversize_shapes():
+    """N^M up to 2^16 is allowed; past it the shape is refused, and at
+    K = 40, D = 20 (M = C(40, 20)) without forming N^M."""
+    assert minimum_stream_length("jplc", 2, 6, 2) == 2**15
+    assert minimum_stream_length("iplc", 2, 32, 2) == 2**16
+    for args in [("iplc", 2, 34, 2), ("iplc", 3, 40, 2), ("jplc", 2, 8, 4), ("jplc", 2, 40, 20)]:
+        with pytest.raises(ValueError, match="exceeds 65536"):
+            minimum_stream_length(*args)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 4])
+def test_demand_size_outside_one_to_k_is_refused(d):
+    with pytest.raises(ValueError, match=r"demand size must lie in \[1, K\]"):
+        family_size("jplc", 3, d)
+    with pytest.raises(ValueError, match=r"demand size must lie in \[1, K\]"):
+        random_demand(F3, 3, d, random.Random(0))
+
+
 def test_run_jplc_end_to_end():
     rng = random.Random(0)
     ds = random_dataset(F3, 3, 8, rng)

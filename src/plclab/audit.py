@@ -17,7 +17,10 @@ weighted by view mass.
 The server view at the encoder layer is the published pair (G, C_1..C_M).
 The full layer appends the server's serialised query blocks. It is
 exhaustive only: the queries range over T! 2^T draws, so sampled views
-almost never repeat, and a view seen once never clears the allowance.
+almost never repeat, and a view seen once never clears the allowance. A
+draw is a fixed map of the encoder path's identity pattern, so the full
+layer serialises each identity pattern's draws once per audit and adds
+every path's views by their draw counts (see `_with_queries`).
 """
 
 from __future__ import annotations
@@ -190,30 +193,66 @@ def _over_budget(max_paths: int) -> ValueError:
     )
 
 
-def _with_queries(paths, num_servers, stream_length):
-    """Extend encoder paths by every (position map, signs) pair of the
-    engine's query randomness, with its exact weight. Yields (weight, label,
-    (encoder, descriptor)). The pairs are built once and serve every encoder
-    path. When one encoder path's T! 2^T pairs alone exceed _PATH_BUDGET,
-    the first step raises the budget's ValueError, before any path is
-    drawn."""
-    draws = 1  # T! 2^T, one factor at a time: a large T passes the budget at t = 8
+def _query_draws(stream_length: int) -> int:
+    """|R| = T! 2^T, the engine's (position map, signs) draws. It is formed
+    one factor at a time and returned as soon as it passes _PATH_BUDGET, so
+    a large T never forms T!: a T too large for the budget fails at t = 8."""
+    draws = 1
     for t in range(1, stream_length + 1):
         draws *= 2 * t
         if draws > _PATH_BUDGET:
-            raise _over_budget(_PATH_BUDGET)
+            break
+    return draws
+
+
+def _query_law(instance, randomness) -> tuple:
+    """Per server, ((blocks, number of draws), ...) over the draws of
+    randomness, in first-seen order."""
+    law = [{} for _ in range(instance.num_servers)]
+    for r in randomness:
+        for counts, blocks in zip(law, generate_queries(instance, r).per_server):
+            counts[blocks] = counts.get(blocks, 0) + 1
+    return tuple(tuple(counts.items()) for counts in law)
+
+
+def _with_queries(paths, num_servers, stream_length):
+    """Extend encoder paths by the engine's query randomness R, every
+    (position map, signs) pair, each of probability 1 / |R|. Yields (weight /
+    |R|, label, (encoder, law)) per encoder path, which stands for its |R|
+    walk paths: law lists, per server, each distinct block tuple that the
+    draws serialise to, with its number of draws. When one encoder path's
+    draws alone exceed _PATH_BUDGET, the first step raises the budget's
+    ValueError, before any path is drawn.
+
+    Lemma: for a draw (tau, s), generate_queries(instance, (tau, s)).per_server
+    equals, server by server, apply_pattern_map(p, rho = tau, flips = {v :
+    s_v = -1}, q) of the instance's identity pattern p =
+    generate_queries(instance, identity_plc_randomness(T)).per_server, since
+    a draw only relabels positions, flips signs and renormalises each sum.
+    So encoder paths with equal identity patterns serialise equally under
+    every draw. The first path with a pattern walks R through the engine's
+    own `generate_queries` (not `apply_pattern_map`, so a leak in the
+    engine still shows), and every later path with that pattern reuses its
+    law. The laws live for one audit."""
+    draws = _query_draws(stream_length)
+    if draws > _PATH_BUDGET:
+        raise _over_budget(_PATH_BUDGET)
     per_draw = Fraction(1, draws)
     randomness = [
         PlcRandomness(tau, signs)
         for tau in permutations(range(1, stream_length + 1))
         for signs in product((1, -1), repeat=stream_length)
     ]
+    identity = identity_plc_randomness(stream_length)
+    laws: Dict[tuple, tuple] = {}
     for w, label, enc in paths:
         stack = MatrixGF([cv.entries for cv in enc.combination_vectors], enc.field)
         instance = PlcInstance(num_servers, stack, enc.demand_index, stream_length)
-        w = w * per_draw
-        for r in randomness:
-            yield w, label, (enc, generate_queries(instance, r))
+        pattern = generate_queries(instance, identity).per_server
+        law = laws.get(pattern)
+        if law is None:
+            law = laws[pattern] = _query_law(instance, randomness)
+        yield w * per_draw, label, (enc, law)
 
 
 def _encoder_view(enc) -> tuple:
@@ -226,15 +265,19 @@ def _published_view(enc) -> tuple:
 
 
 def _served_views(path) -> tuple:
-    enc, descriptor = path
+    """((server, view), number of draws) for each server's block tuples."""
+    enc, law = path
     published = _encoder_view(enc)
     return tuple(
-        (server, published + (blocks,))
-        for server, blocks in enumerate(descriptor.per_server, 1)
+        ((server, published + (blocks,)), count)
+        for server, counts in enumerate(law, 1)
+        for blocks, count in counts
     )
 
 
-def collect(paths, views, max_paths: Optional[int] = None):
+def collect(
+    paths, views, max_paths: Optional[int] = None, multiplicity: Optional[int] = None
+):
     """Mass per view and label over (weight, label, artifact) paths.
 
     views(artifact) lists the (server, view) pairs a path shows, server 0
@@ -244,22 +287,27 @@ def collect(paths, views, max_paths: Optional[int] = None):
     Fraction weight adds its numerator per (view, label, denominator), and
     each label's Fraction is formed once at the end, so no Fraction is added
     per path. More than max_paths paths raise ValueError.
+
+    With a multiplicity m, each path stands for m walk paths and counts as
+    m, and views(artifact) lists ((server, view), count) pairs: the view
+    gets count times the path's weight.
     """
     mass: Dict[tuple, Dict[object, object]] = {}
     exact = False
     count = 0
     for weight, label, artifact in paths:
-        if type(weight) is int:
+        if type(weight) is int and multiplicity is None:
             for view in views(artifact):
                 per_label = mass.setdefault(view, {})
                 per_label[label] = per_label.get(label, 0) + weight
         else:
             exact = True
             den, num = weight.denominator, weight.numerator
-            for view in views(artifact):
+            shown = views(artifact) if multiplicity else ((v, 1) for v in views(artifact))
+            for view, times in shown:
                 per_den = mass.setdefault(view, {}).setdefault(label, {})
-                per_den[den] = per_den.get(den, 0) + num
-        count += 1
+                per_den[den] = per_den.get(den, 0) + num * times
+        count += multiplicity or 1
         if max_paths is not None and count > max_paths:
             raise _over_budget(max_paths)
     if exact:
@@ -381,16 +429,20 @@ def debiased_pairwise_tv_statistic(
 
 
 def _judge(
-    kind, layer, mode, threshold, paths, views, labels, members, target, details
+    kind, layer, mode, threshold, paths, views, labels, members, target, details,
+    multiplicity=None,
 ) -> AuditReport:
     """Collect the paths and test the labels' conditional view laws: with
     target None they must coincide pairwise, otherwise every label must keep
     posterior `target` in every view, a path counting for each label that
-    members(path label) names. Exhaustive paths stop at _PATH_BUDGET. A
-    threshold that is not finite raises ValueError before any path is drawn."""
+    members(path label) names; `multiplicity` is collect's. Exhaustive
+    paths stop at _PATH_BUDGET. A threshold that is not finite raises
+    ValueError before any path is drawn."""
     if threshold is not None and not math.isfinite(threshold):
         raise ValueError(f"the audit threshold must be finite, got {threshold}")
-    mass, weight = collect(paths, views, _PATH_BUDGET if mode == "exhaustive" else None)
+    mass, weight = collect(
+        paths, views, _PATH_BUDGET if mode == "exhaustive" else None, multiplicity
+    )
     counts = _member_counts(mass, members)
     if mode == "exhaustive":
         if threshold is None:
@@ -514,16 +566,16 @@ def audit_joint_privacy(
         mode, "jplc", [(s, s) for s in supports], num_servers, num_streams,
         field, rng, samples,
     )
-    views = _published_view
+    views, multiplicity = _published_view, None
     if layer == "full":
         stream_length = minimum_stream_length(
             "jplc", num_servers, num_streams, demand_size
         )
         paths = _with_queries(paths, num_servers, stream_length)
-        views = _served_views
+        views, multiplicity = _served_views, _query_draws(stream_length)
     return _judge(
         "joint-privacy", layer, mode, threshold, paths, views, supports,
-        lambda s: (s,), None, {"supports": len(supports)},
+        lambda s: (s,), None, {"supports": len(supports)}, multiplicity,
     )
 
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from plclab import audit, plc_engine
 from plclab.audit import (
+    AuditReport,
     _engine_map,
     _judge,
     _outcomes,
@@ -28,8 +30,14 @@ from plclab.audit import (
 from plclab.ffield import PrimeField
 from plclab.gflinalg import MatrixGF
 from plclab.iplc_encoder import algorithm_probabilities
-from plclab.plc_engine import PlcInstance, generate_queries, identity_plc_randomness
+from plclab.plc_engine import (
+    PlcInstance,
+    generate_queries,
+    identity_plc_randomness,
+    random_plc_randomness,
+)
 from enumeration_oracle import enumerate_iplc_paths, enumerate_jplc_paths
+from full_walk_oracle import audit_joint_full
 from test_plc_engine import full_rank_stacks
 
 F3 = PrimeField(3)
@@ -216,6 +224,21 @@ def test_query_draws_are_refused_without_forming_t_factorial(monkeypatch):
     for t in (8, 2**16):
         with pytest.raises(ValueError, match="path budget exceeded"):
             next(audit._with_queries(iter(()), 2, t))
+
+
+@pytest.mark.parametrize("budget", [1535, 1536])
+def test_full_layer_counts_every_walk_path_against_the_budget(monkeypatch, budget):
+    """At q=2 the joint-full audit walks 4 encoder paths by 384 query draws.
+    It serialises each identity pattern's draws once, yet every encoder path
+    still counts as its 384 walk paths: the draws fit both budgets, the
+    1,536 walk paths only the second."""
+    monkeypatch.setattr(audit, "_PATH_BUDGET", budget)
+    if budget < 1536:
+        with pytest.raises(ValueError, match="path budget exceeded"):
+            audit_joint_privacy(2, 2, 1, PrimeField(2), layer="full")
+    else:
+        rep = audit_joint_privacy(2, 2, 1, PrimeField(2), layer="full")
+        assert rep.passed and rep.weight == 1536
 
 
 def test_the_path_budget_leaves_sampled_audits_alone(monkeypatch):
@@ -491,6 +514,71 @@ def test_full_layer_fails_a_leaking_engine(leaking_engine, q):
     rep = audit_joint_privacy(2, 2, 1, PrimeField(q), layer="full")
     assert not rep.passed
     assert rep.details["exact_statistic"] == "1"
+
+
+def _assert_same_report(got, expected):
+    for field in fields(AuditReport):
+        assert getattr(got, field.name) == getattr(expected, field.name), field.name
+
+
+# (N, K, D, q). The full layer has T = 4 at (2, 2, 1), T = 2 at (2, 2, 2) and
+# T = 1 at N = 1.
+FULL_LAYER_SHAPES = [
+    (2, 2, 1, 2), (2, 2, 1, 3), (2, 2, 2, 2), (2, 2, 2, 3), (1, 2, 1, 2),
+    (1, 2, 1, 3), (1, 3, 1, 3),
+]
+
+
+@pytest.mark.parametrize("n,k,d,q", FULL_LAYER_SHAPES)
+def test_full_layer_matches_the_walk_oracle(n, k, d, q):
+    """Adding each identity pattern's law by multiplicity gives the report
+    of one serialisation per walk path, field by field."""
+    field = PrimeField(q)
+    _assert_same_report(
+        audit_joint_privacy(n, k, d, field, layer="full"), audit_joint_full(n, k, d, field)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_full_layer_matches_the_walk_oracle_on_a_leaking_engine(leaking_engine, q):
+    field = PrimeField(q)
+    got = audit_joint_privacy(2, 2, 1, field, layer="full")
+    assert not got.passed
+    _assert_same_report(got, audit_joint_full(2, 2, 1, field))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    full_rank_stacks(qs=(2, 3, 5, 7, 8191, 2**61 - 1), max_streams=4),
+    st.sampled_from((1, 2, 3)),
+    st.sampled_from((1, 2)),
+    st.randoms(use_true_random=False),
+)
+def test_a_query_draw_is_a_fixed_map_of_the_identity_pattern(case, n, reps, rnd):
+    """generate_queries under (tau, s) is apply_pattern_map of the identity
+    pattern with rho = tau and the positions that s flips, server by server,
+    for every target. A row rescaling of the stack keeps the identity
+    pattern, so it serialises identically under the same draw: the full
+    layer may serialise one pattern's draws for every encoder path that has
+    it."""
+    stack, _ = case
+    q, m, t = stack.field.q, stack.nrows, reps * n ** stack.nrows
+    scales = [rnd.randrange(1, q) for _ in range(m)]
+    rescaled = MatrixGF(
+        [[c * a % q for c in row] for a, row in zip(scales, stack.rows)], stack.field
+    )
+    identity = identity_plc_randomness(t)
+    for theta in range(1, m + 1):
+        instance = PlcInstance(n, stack, theta, t)
+        other = PlcInstance(n, rescaled, theta, t)
+        pattern = generate_queries(instance, identity).per_server
+        assert generate_queries(other, identity).per_server == pattern
+        r = random_plc_randomness(t, rnd)
+        rho = dict(enumerate(r.position_map, 1))
+        flips = {v for v, sign in enumerate(r.signs, 1) if sign == -1}
+        served = generate_queries(instance, r).per_server
+        assert served == tuple(apply_pattern_map(blocks, rho, flips, q) for blocks in pattern)
+        assert generate_queries(other, r).per_server == served
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,12 @@ AUDITS = {
          "--demand-size=1", "--field=2", "--audit-layer=full"],
         "5fb836bea2c72bc4fc9e5ec3be4b2a8dd67e7acaf17f519b0f0bb4f0393b9a43",
     ),
+    # 16 encoder paths by 384 query draws: 6,144 walk paths, 384 views.
+    "joint-full-exhaustive-q3": (
+        ["--mode=audit", "--audit-kind=joint", "--servers=2", "--messages=2",
+         "--demand-size=1", "--field=3", "--audit-layer=full"],
+        "47d0b1803393e0178147692697f4393c1e38b3f2ada97e0e7054f2e49a43371c",
+    ),
     "joint-exhaustive": (
         ["--mode=audit", "--audit-kind=joint", "--messages=3", "--demand-size=2",
          "--field=3"],

@@ -8,7 +8,9 @@ checks them all. A path source yields (weight, label, artifact) paths,
 `collect` adds up mass per (view, label), and a statistic compares the
 labels' conditional view laws. Exhaustive audits walk every outcome of the
 encoders' own draws with its exact probability and compare exact rationals;
-they either certify a guarantee outright or exhibit a counterexample.
+they either certify a guarantee outright or exhibit a counterexample. The
+exact masses are ints over one common denominator, so the statistics compare
+ints and form one Fraction per report.
 Sampled audits estimate the same posteriors from finitely many runs; raw
 per-view frequencies are noisy, so the reported statistic accumulates only
 deviations that clear a three-sigma allowance for the view's sample count,
@@ -21,6 +23,11 @@ almost never repeat, and a view seen once never clears the allowance. A
 draw is a fixed map of the encoder path's identity pattern, so the full
 layer serialises each identity pattern's draws once per audit and adds
 every path's views by their draw counts (see `_with_queries`).
+
+The engine certificate checks that every target's identity pattern maps
+onto every other's by a position relabelling and sign flips. Such maps
+compose, so it checks target 1 against each other target (see
+`certify_engine_privacy`).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from functools import partial
 from itertools import combinations, permutations, product
 from typing import Dict, Optional, Sequence, Tuple
 
+from . import plc_engine, reductions
 from .ffield import PrimeField
 from .gflinalg import MatrixGF, VectorGF
 from .iplc_encoder import build_partition_matrix
@@ -72,12 +80,13 @@ class AuditReport:
 # Exhaustive walks over a run's own draws.
 
 class _Walk:
-    """The rng of `_outcomes`. It models the three calls the encoders' draws
-    make: randrange(start, stop), shuffle(x), and random(), which returns a
-    token (the walk itself) that may only be compared as `random() < p` with
-    an exact p. Draw i takes outcome script[i][0]; past the script's end it
-    takes outcome 0 and records its outcome count as script[i][1]. num / den
-    is the probability of the outcomes taken. `_outcomes` sets the state."""
+    """The rng of `_outcomes`. It models the calls the encoders' and the
+    engine's draws make: randrange(start, stop), choice(seq), shuffle(x),
+    and random(), which returns a token (the walk itself) that may only be
+    compared as `random() < p` with an exact p. Draw i takes outcome
+    script[i][0]; past the script's end it takes outcome 0 and records its
+    outcome count as script[i][1]. num / den is the probability of the
+    outcomes taken. `_outcomes` sets the state."""
 
     def _next(self, count):
         self.at += 1
@@ -90,6 +99,9 @@ class _Walk:
             raise ValueError(f"empty range for randrange({start}, {stop})")
         self.den *= stop - start
         return start + self._next(stop - start)
+
+    def choice(self, seq):
+        return seq[self.randrange(0, len(seq))]
 
     def shuffle(self, x):
         for i in reversed(range(1, len(x))):  # random.shuffle's Fisher-Yates
@@ -207,10 +219,13 @@ def _query_draws(stream_length: int) -> int:
 
 def _query_law(instance, randomness) -> tuple:
     """Per server, ((blocks, number of draws), ...) over the draws of
-    randomness, in first-seen order."""
+    randomness, in first-seen order. Each draw goes through the engine's own
+    serialisation, the one `generate_queries` wraps; only its blocks are
+    read, so no descriptor is built and nothing is kept on the instance."""
+    serialise = plc_engine._serialise
     law = [{} for _ in range(instance.num_servers)]
     for r in randomness:
-        for counts, blocks in zip(law, generate_queries(instance, r).per_server):
+        for counts, blocks in zip(law, serialise(instance, r)[0]):
             counts[blocks] = counts.get(blocks, 0) + 1
     return tuple(tuple(counts.items()) for counts in law)
 
@@ -231,18 +246,23 @@ def _with_queries(paths, num_servers, stream_length):
     a draw only relabels positions, flips signs and renormalises each sum.
     So encoder paths with equal identity patterns serialise equally under
     every draw. The first path with a pattern walks R through the engine's
-    own `generate_queries` (not `apply_pattern_map`, so a leak in the
-    engine still shows), and every later path with that pattern reuses its
-    law. The laws live for one audit."""
+    own serialisation (`_query_law`; not `apply_pattern_map`, so a leak in
+    the engine still shows), and every later path with that pattern reuses
+    its law. The laws live for one audit.
+
+    The draws are built once per audit. They are permutations of 1..T and
+    +1/-1 tuples by construction, so each PlcRandomness is filled without
+    re-running its checks."""
     draws = _query_draws(stream_length)
     if draws > _PATH_BUDGET:
         raise _over_budget(_PATH_BUDGET)
     per_draw = Fraction(1, draws)
-    randomness = [
-        PlcRandomness(tau, signs)
-        for tau in permutations(range(1, stream_length + 1))
-        for signs in product((1, -1), repeat=stream_length)
-    ]
+    randomness = []
+    for tau in permutations(range(1, stream_length + 1)):
+        for signs in product((1, -1), repeat=stream_length):
+            r = object.__new__(PlcRandomness)
+            vars(r).update(position_map=tau, signs=signs)
+            randomness.append(r)
     identity = identity_plc_randomness(stream_length)
     laws: Dict[tuple, tuple] = {}
     for w, label, enc in paths:
@@ -282,18 +302,21 @@ def collect(
 
     views(artifact) lists the (server, view) pairs a path shows, server 0
     being the published encoder view; each gets the path's weight. Returns
-    ({view: {label: mass}}, number of paths), views and each view's labels in
-    first-seen order. Int weights (sampled paths) add as ints. An exact
-    Fraction weight adds its numerator per (view, label, denominator), and
-    each label's Fraction is formed once at the end, so no Fraction is added
-    per path. More than max_paths paths raise ValueError.
+    ({view: {label: mass}}, number of paths, scale), views and each view's
+    labels in first-seen order: every mass is an int, and mass / scale is
+    the label's exact mass. Int weights (sampled paths) add as ints, at scale
+    1. An exact Fraction weight adds its numerator per (view, label,
+    denominator); at the end each label's mass is brought to one common
+    denominator, the lcm of those seen, which is the scale. So no Fraction
+    is formed per path or per label. More than max_paths paths raise
+    ValueError.
 
     With a multiplicity m, each path stands for m walk paths and counts as
     m, and views(artifact) lists ((server, view), count) pairs: the view
     gets count times the path's weight.
     """
     mass: Dict[tuple, Dict[object, object]] = {}
-    exact = False
+    dens = set()
     count = 0
     for weight, label, artifact in paths:
         if type(weight) is int and multiplicity is None:
@@ -301,8 +324,8 @@ def collect(
                 per_label = mass.setdefault(view, {})
                 per_label[label] = per_label.get(label, 0) + weight
         else:
-            exact = True
             den, num = weight.denominator, weight.numerator
+            dens.add(den)
             shown = views(artifact) if multiplicity else ((v, 1) for v in views(artifact))
             for view, times in shown:
                 per_den = mass.setdefault(view, {}).setdefault(label, {})
@@ -310,11 +333,13 @@ def collect(
         count += multiplicity or 1
         if max_paths is not None and count > max_paths:
             raise _over_budget(max_paths)
-    if exact:
+    scale = math.lcm(*dens)
+    if dens:
+        factor = {d: scale // d for d in dens}
         for per_label in mass.values():
             for label, per_den in per_label.items():
-                per_label[label] = sum(Fraction(n, d) for d, n in per_den.items())
-    return mass, count
+                per_label[label] = sum(n * factor[d] for d, n in per_den.items())
+    return mass, count, scale
 
 
 def _member_counts(mass, members):
@@ -331,34 +356,45 @@ def _member_counts(mass, members):
 
 
 # ---------------------------------------------------------------------------
-# Statistics over view_counts: view -> (n_v, mass per label), exact
-# rationals for exhaustive audits and counts for sampled ones.
+# Statistics over view_counts: view -> (n_v, mass per label), exact masses
+# (ints over collect's scale) for exhaustive audits and counts for sampled
+# ones.
 
-def exact_pairwise_tv_statistic(view_counts, labels):
+def exact_pairwise_tv_statistic(view_counts, labels, scale: int = 1):
     """Worst total variation between two labels' view laws at one server.
 
-    Keys are (server, view) pairs and masses are conditional on the label.
-    Returns the distance and the first (label_a, label_b, server) at it, or
-    None in place of that triple when the distance is zero."""
+    Keys are (server, view) pairs and mass / scale is a label's mass
+    conditional on the label, so the distance between labels a and b at a
+    server is sum |a - b| / (2 scale) over its views. The sums compare as
+    ints, and the worst forms the one Fraction. Returns the distance and the
+    first (label_a, label_b, server) at it, or None in place of that triple
+    when the distance is zero."""
     rows: Dict[int, list] = {}
     for (server, _), (_, hits) in view_counts.items():
         rows.setdefault(server, []).append(hits)
-    worst, worst_pair = Fraction(0), None
+    worst, worst_pair = 0, None
     for a, b in combinations(labels, 2):
         for server, hs in rows.items():
-            tv = sum((abs(h.get(a, 0) - h.get(b, 0)) for h in hs), Fraction(0)) / 2
+            tv = sum(abs(h.get(a, 0) - h.get(b, 0)) for h in hs)
             if tv > worst:
                 worst, worst_pair = tv, (a, b, server)
-    return worst, worst_pair
+    return Fraction(worst, 2 * scale), worst_pair
 
 
 def exact_marginal_statistic(view_counts, labels, target: Fraction) -> Fraction:
-    """Worst |P(label | view) - target| over views and labels."""
-    worst = Fraction(0)
+    """Worst |P(label | view) - target| over views and labels.
+
+    The masses' scale cancels in the posterior hits / total. With target =
+    num / den, a view's deviation is |hits den - total num| / (total den), so
+    views compare by cross-multiplication and the worst forms the one
+    Fraction."""
+    num, den = target.numerator, target.denominator
+    worst_num, worst_den = 0, 1
     for total, hits in view_counts.values():
-        for label in labels:
-            worst = max(worst, abs(hits.get(label, 0) / total - target))
-    return worst
+        dev = max((abs(hits.get(label, 0) * den - total * num) for label in labels), default=0)
+        if dev * worst_den > worst_num * total * den:
+            worst_num, worst_den = dev, total * den
+    return Fraction(worst_num, worst_den)
 
 
 def _sigma_floor(target: float, n_v: int) -> float:
@@ -440,7 +476,7 @@ def _judge(
     ValueError before any path is drawn."""
     if threshold is not None and not math.isfinite(threshold):
         raise ValueError(f"the audit threshold must be finite, got {threshold}")
-    mass, weight = collect(
+    mass, weight, scale = collect(
         paths, views, _PATH_BUDGET if mode == "exhaustive" else None, multiplicity
     )
     counts = _member_counts(mass, members)
@@ -448,7 +484,7 @@ def _judge(
         if threshold is None:
             threshold = 0.0
         if target is None:
-            worst, worst_pair = exact_pairwise_tv_statistic(counts, labels)
+            worst, worst_pair = exact_pairwise_tv_statistic(counts, labels, scale)
             details["worst_pair"] = repr(worst_pair)
         else:
             worst = exact_marginal_statistic(counts, labels, target)
@@ -638,9 +674,8 @@ def audit_reduction_marginal(
     target = Fraction(1, k)
 
     def draw(r: random.Random):
-        side = tuple(sorted(r.sample(range(1, k + 1), num_side)))
-        rest = [i for i in range(1, k + 1) if i not in side]
-        i_star = rest[r.randrange(len(rest))]
+        # The reduction's own draw, looked up when called.
+        side, i_star = reductions.random_side_and_target(k, num_side, r)
         return i_star, tuple(sorted(side + (i_star,)))
 
     paths = _paths(
@@ -746,7 +781,22 @@ def certify_engine_privacy(
     stream_length: int,
 ) -> AuditReport:
     """Prove (or refute) that the engine's query distribution is identical
-    for every demand index, by exhibiting pattern isomorphisms."""
+    for every demand index, by exhibiting pattern isomorphisms.
+
+    Target 1 is the reference: at each server its pattern is mapped onto
+    those of targets 2..M, which is M - 1 maps per server, not C(M, 2).
+    That suffices because the maps compose. Paired positions sit at the same
+    (round, subset, coordinate) places in every plan, so the maps 1 -> a and
+    1 -> b compose into a map a -> b whose pairing is the one `_engine_map`
+    reads for (a, b), with the flips composed by xor. `apply_pattern_map`
+    acts as a group action up to the per-sum renormalisation, and a map
+    that differs from the composition only by flipping a whole component of
+    its constraints (all positions and gauges at once) gives the same
+    normalised sums. So every pair passes when the pairs (1, b) do. Those
+    are the first M - 1 pairs in `combinations` order, so a failure names
+    the same first (a, b, server), after the same number of checked maps,
+    as checking every pair would; a pass has weight C(M, 2) N, every (pair,
+    server) map that the checked ones imply."""
     m = combination_matrix.nrows
     q = combination_matrix.field.q
     ident = identity_plc_randomness(stream_length)
@@ -759,17 +809,18 @@ def certify_engine_privacy(
         patterns.append(generate_queries(instance, ident).per_server)
     checked = 0
     failed = None
-    for a, b in combinations(range(m), 2):
+    for b in range(1, m):
         for server in range(num_servers):
-            found = _engine_map(plans[a], plans[b], server, stream_length)
+            found = _engine_map(plans[0], plans[b], server, stream_length)
             if found is None or apply_pattern_map(
-                patterns[a][server], *found, q
+                patterns[0][server], *found, q
             ) != patterns[b][server]:
-                failed = (a + 1, b + 1, server + 1)
+                failed = (1, b + 1, server + 1)
                 break
             checked += 1
         if failed:
             break
+    pairs = m * (m - 1) // 2
     return AuditReport(
         kind="engine-privacy",
         layer="full",
@@ -777,10 +828,10 @@ def certify_engine_privacy(
         passed=failed is None,
         statistic=0.0 if failed is None else 1.0,
         threshold=0.0,
-        weight=checked,
+        weight=checked if failed else pairs * num_servers,
         num_views=m,
         details={
-            "pairs": m * (m - 1) // 2,
+            "pairs": pairs,
             "servers": num_servers,
             "failed": repr(failed),
         },

@@ -46,6 +46,17 @@ class SideInfoInstance:
             raise ValueError("one value row per side index")
 
 
+def random_side_and_target(
+    num_streams: int, num_side: int, rng: random.Random
+) -> Tuple[Tuple[int, ...], int]:
+    """(side set, target): a uniform sorted side set of num_side indices in
+    1..K, then a uniform target outside it. The pir-si audit draws with it."""
+    k = num_streams
+    side = tuple(sorted(rng.sample(range(1, k + 1), num_side)))
+    rest = [i for i in range(1, k + 1) if i not in side]
+    return side, rng.choice(rest)
+
+
 def random_side_info_instance(
     dataset: Dataset, num_side: int, rng: random.Random
 ) -> SideInfoInstance:
@@ -53,9 +64,7 @@ def random_side_info_instance(
     k = dataset.num_streams
     if not 0 <= num_side <= k - 1:
         raise ValueError("side set must leave at least one stream to fetch")
-    side = tuple(sorted(rng.sample(range(1, k + 1), num_side)))
-    rest = [i for i in range(1, k + 1) if i not in side]
-    target = rng.choice(rest)
+    side, target = random_side_and_target(k, num_side, rng)
     values = tuple(tuple(dataset.x.rows[i - 1]) for i in side)
     return SideInfoInstance(target, side, values)
 

@@ -3,13 +3,14 @@ from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations, product
+import math
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plclab import audit, plc_engine
+from plclab import audit, iplc_encoder, plc_engine, reductions
 from plclab.audit import (
     AuditReport,
     _engine_map,
@@ -36,6 +37,8 @@ from plclab.plc_engine import (
     identity_plc_randomness,
     random_plc_randomness,
 )
+import certificate_oracle
+import statistics_oracle
 from enumeration_oracle import enumerate_iplc_paths, enumerate_jplc_paths
 from full_walk_oracle import audit_joint_full
 from test_plc_engine import full_rank_stacks
@@ -113,6 +116,50 @@ def test_walk_refuses_a_float_comparison(monkeypatch):
         audit_individual_privacy(2, 5, 2, F3, mode="exhaustive")
 
 
+def test_walk_choice_is_one_draw_over_the_sequence():
+    got = list(_outcomes(lambda r: r.choice("abc")))
+    assert got == [(Fraction(1, 3), "a"), (Fraction(1, 3), "b"), (Fraction(1, 3), "c")]
+
+
+# ---------------------------------------------------------------------------
+# The law of the engine's query randomness, which the full layer's walk
+# assumes: uniform over the T! 2^T (position map, signs) draws.
+
+def _randomness_law(t):
+    """{(position map, signs): probability} over the outcomes of the draw
+    that runs use, looked up when called."""
+    law = {}
+    for w, r in _outcomes(lambda rng: plc_engine.random_plc_randomness(t, rng)):
+        key = (r.position_map, r.signs)
+        law[key] = law.get(key, 0) + w
+    return law
+
+
+def _is_uniform_over_query_draws(law, t):
+    draws = {
+        (tau, signs)
+        for tau in permutations(range(1, t + 1))
+        for signs in product((1, -1), repeat=t)
+    }
+    return set(law) == draws and set(law.values()) == {Fraction(1, len(draws))}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_query_randomness_is_uniform_over_every_draw(t):
+    law = _randomness_law(t)
+    assert len(law) == math.factorial(t) * 2**t  # 384 at T = 4
+    assert _is_uniform_over_query_draws(law, t)
+
+
+def test_an_identity_query_draw_fails_the_randomness_law(monkeypatch):
+    """A run whose queries are drawn as the identity shows its target; every
+    audit of the stack passes it, so this check is what catches it."""
+    monkeypatch.setattr(
+        plc_engine, "random_plc_randomness", lambda t, rng: identity_plc_randomness(t)
+    )
+    assert not _is_uniform_over_query_draws(_randomness_law(4), 4)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive audits on small parameter sets: the statistics are exactly zero.
 
@@ -140,6 +187,22 @@ def test_individual_privacy_exhaustive_jplc():
     rep = audit_individual_privacy(2, 3, 1, F3, mode="exhaustive", protocol="jplc")
     assert rep.passed
     assert rep.statistic == 0.0
+
+
+def test_the_sampled_pir_si_audit_draws_with_the_reduction(monkeypatch):
+    """The sampled pir-si audit draws its (side set, target) pairs with the
+    reduction's own draw, so a reduction whose target is the smallest index
+    outside the side set fails it."""
+
+    def smallest_target(k, num_side, rng):
+        side = tuple(sorted(rng.sample(range(1, k + 1), num_side)))
+        return side, min(i for i in range(1, k + 1) if i not in side)
+
+    monkeypatch.setattr(reductions, "random_side_and_target", smallest_target)
+    rep = audit_reduction_marginal(
+        "pir-si", 2, 5, 1, F3, rng=random.Random(5), mode="sampled", samples=20000
+    )
+    assert not rep.passed
 
 
 def test_reduction_marginal_exhaustive():
@@ -590,6 +653,7 @@ def test_certificate_fails_on_a_leaking_engine(leaking_engine, n, stack, t):
     assert not rep.passed
     assert rep.details["failed"] == repr((1, 2, 1))
     assert rep.weight == 0
+    _assert_same_report(rep, certificate_oracle.certify_engine_privacy(n, c, t))
     if t == 4:
         pats = _patterns(n, c, t)
         assert not _brute_force_isomorphic(pats[0][0], pats[1][0], t, 3)
@@ -610,10 +674,143 @@ def test_certify_engine_privacy_on_worked_stacks():
         ([[1, 2], [1, 1], [0, 1]], 8),
         ([[2, 0, 0], [0, 0, 2], [0, 2, 1], [0, 2, 2]], 16),
     ]:
-        rep = certify_engine_privacy(2, MatrixGF(stack, F3), t)
+        c = MatrixGF(stack, F3)
+        rep = certify_engine_privacy(2, c, t)
         assert rep.passed, rep.details
+        assert rep.weight == comb(c.nrows, 2) * 2
+        _assert_same_report(rep, certificate_oracle.certify_engine_privacy(2, c, t))
 
 
 def test_certify_engine_privacy_three_servers():
-    rep = certify_engine_privacy(3, MatrixGF([[1], [2], [1]], F3), 27)
-    assert rep.passed
+    c = MatrixGF([[1], [2], [1]], F3)
+    rep = certify_engine_privacy(3, c, 27)
+    assert rep.passed and rep.weight == 3 * 3
+    _assert_same_report(rep, certificate_oracle.certify_engine_privacy(3, c, 27))
+
+
+# ---------------------------------------------------------------------------
+# The certificate checks target 1 against every other target; checking every
+# pair of targets (the oracle) gives the same report, field by field.
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(full_rank_stacks(max_streams=4), st.sampled_from((1, 2, 3)), st.sampled_from((1, 2)))
+def test_certificate_matches_the_all_pairs_oracle(case, n, reps):
+    stack, _ = case
+    t = reps * n**stack.nrows
+    _assert_same_report(
+        certify_engine_privacy(n, stack, t),
+        certificate_oracle.certify_engine_privacy(n, stack, t),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exact statistics in ints against the Fraction oracle: the same paths judged
+# both ways give the same report, field by field.
+
+def _judge_both(monkeypatch):
+    """Make every audit judge its paths with the library and with the
+    oracle; returns the list of (library report, oracle report) pairs."""
+    pairs = []
+    real = audit._judge
+
+    def both(
+        kind, layer, mode, threshold, paths, views, labels, members, target, details,
+        multiplicity=None,
+    ):
+        paths = list(paths)
+        args = (kind, layer, mode, threshold, paths, views, labels, members, target)
+        got = real(*args, dict(details), multiplicity)
+        pairs.append((got, statistics_oracle.judge(*args, dict(details), multiplicity)))
+        return got
+
+    monkeypatch.setattr(audit, "_judge", both)
+    return pairs
+
+
+# Every exhaustive report that the tests, CI and the benchmark produce, but
+# two that take a second or more to walk: CI's K = 4 D = 2 q = 5 joint audit
+# and the K = 5 D = 2 q = 3 individual audit, whose shape the biased-route
+# case below walks.
+EXHAUSTIVE_AUDITS = {
+    "joint-K3-D2-q3": lambda: audit_joint_privacy(2, 3, 2, F3),
+    **{
+        f"joint-full-N{n}-K{k}-D{d}-q{q}": (
+            lambda n=n, k=k, d=d, q=q: audit_joint_privacy(n, k, d, PrimeField(q), layer="full")
+        )
+        for n, k, d, q in FULL_LAYER_SHAPES
+    },
+    "individual-iplc-K4-D2-q3": lambda: audit_individual_privacy(2, 4, 2, F3),
+    "individual-jplc-K3-D1-q3": lambda: audit_individual_privacy(2, 3, 1, F3, protocol="jplc"),
+    "pir-psi-K3-S1-q3": lambda: audit_reduction_marginal("pir-psi", 2, 3, 1, F3),
+    "pir-si-K4-S1-q3": lambda: audit_reduction_marginal("pir-si", 2, 4, 1, F3),
+}
+
+
+@pytest.mark.parametrize("name", EXHAUSTIVE_AUDITS)
+def test_integer_statistics_match_the_fraction_oracle(monkeypatch, name):
+    pairs = _judge_both(monkeypatch)
+    rep = EXHAUSTIVE_AUDITS[name]()
+    assert rep.passed and rep.details["exact_statistic"] == "0"
+    ((got, expected),) = pairs
+    _assert_same_report(got, expected)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_integer_statistics_match_the_fraction_oracle_on_a_leaking_engine(
+    leaking_engine, monkeypatch, q
+):
+    pairs = _judge_both(monkeypatch)
+    rep = audit_joint_privacy(2, 2, 1, PrimeField(q), layer="full")
+    assert rep.details["exact_statistic"] == "1"
+    ((got, expected),) = pairs
+    _assert_same_report(got, expected)
+
+
+def test_integer_statistics_match_the_fraction_oracle_on_a_biased_route(monkeypatch):
+    """iplc's route 1 drawn with probability p1 + 1/5: the posterior of a
+    stream index moves by exactly 1/5 in some view."""
+    real = iplc_encoder._shape_table
+
+    def biased(k, d, q):
+        shape = real(k, d, q)
+        return shape._replace(p1=shape.p1 + Fraction(1, 5))
+
+    monkeypatch.setattr(iplc_encoder, "_shape_table", biased)
+    pairs = _judge_both(monkeypatch)
+    rep = audit_individual_privacy(2, 5, 2, F3)
+    assert not rep.passed and rep.details["exact_statistic"] == "1/5"
+    ((got, expected),) = pairs
+    _assert_same_report(got, expected)
+
+
+@pytest.mark.parametrize(
+    "protocol,k,d,marginal,exact",
+    [("jplc", 3, 2, False, "1"), ("iplc", 4, 2, True, "1/2")],
+)
+def test_integer_statistics_match_the_fraction_oracle_on_a_leaking_view(
+    protocol, k, d, marginal, exact
+):
+    supports = list(combinations(range(1, k + 1), d))
+    paths = list(_paths("exhaustive", protocol, [(s, s) for s in supports], 2, k, F3, None, 0))
+
+    def leak(enc):
+        return ((0, enc.supports[enc.demand_index - 1]),)
+
+    if marginal:
+        question = (range(1, k + 1), lambda s: s, Fraction(d, k))
+    else:
+        question = (supports, lambda s: (s,), None)
+    got = _judge("leak", "encoder", "exhaustive", None, paths, leak, *question, {})
+    assert got.details["exact_statistic"] == exact
+    _assert_same_report(
+        got, statistics_oracle.judge("leak", "encoder", "exhaustive", None, paths, leak, *question, {})
+    )
+
+
+def test_exact_marginal_statistic_compares_deviations_across_views():
+    """A heavy view with a small deviation must not mask a light view with a
+    large one: views compare by deviation, not by its numerator."""
+    counts = {"heavy": (100, {1: 60}), "light": (2, {1: 2})}
+    got = audit.exact_marginal_statistic(counts, [1], Fraction(1, 2))
+    assert got == Fraction(1, 2)
+    assert got == statistics_oracle.exact_marginal_statistic(counts, [1], Fraction(1, 2))
